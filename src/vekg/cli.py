@@ -77,7 +77,7 @@ def cmd_run(ctx, input_path, rules_path, window_ms, out_path, truth_path):
     with open(out_path, "w", encoding="utf-8") as out_fh, \
             open(metrics_path, "w", encoding="utf-8") as met_fh:
         for result in run_pipeline(open_stream(input_path), ruleset,
-                                   window_ms=window_ms, threads=True):
+                                   window_ms=window_ms):
             for note in result.notifications:
                 out_fh.write(json.dumps(note.as_dict(),
                                         separators=(",", ":")) + "\n")

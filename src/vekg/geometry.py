@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .errors import CoincidentCentroids, InvalidRegion, ZeroLengthSegment
 
@@ -120,24 +120,50 @@ def _self_intersects(pts: Sequence[Point]) -> bool:
     return False
 
 
-# --- interval helpers (closed interval [lo, hi] per axis) ---
+# --- topology: one decision over edge coordinates, one shared set per code ---
 
-def _closed_overlap(a1, a2, b1, b2) -> bool:
-    return max(a1, b1) <= min(a2, b2)
+TOPO_DISJOINT = 0
+TOPO_TOUCH = 1
+TOPO_OVERLAP = 2
+TOPO_CONTAINS = 3
+TOPO_EQUAL = 4
+TOPO_INSIDE = 5
+TOPO_COVERED_BY = 6
+
+_S = SpatialRelationClass
+TOPOLOGY_SETS = (
+    frozenset({_S.DISJOINT}),
+    frozenset({_S.INTERSECT, _S.TOUCH}),
+    frozenset({_S.INTERSECT, _S.OVERLAP}),
+    frozenset({_S.INTERSECT, _S.CONTAINS}),
+    frozenset({_S.INTERSECT, _S.CONTAINS, _S.WITHIN, _S.COVERED_BY}),
+    frozenset({_S.INTERSECT, _S.WITHIN, _S.INSIDE}),
+    frozenset({_S.INTERSECT, _S.WITHIN, _S.COVERED_BY}),
+)
 
 
-def _open_overlap(a1, a2, b1, b2) -> bool:
-    return max(a1, b1) < min(a2, b2)
+def topology_code(ax, ay, ax2, ay2, bx, by, bx2, by2) -> int:
+    """Topology code of box a = [ax, ax2] x [ay, ay2] against box b.
 
-
-def _closed_subset(a1, a2, b1, b2) -> bool:
-    """[a1,a2] subset of [b1,b2]."""
-    return b1 <= a1 and a2 <= b2
-
-
-def _open_subset(a1, a2, b1, b2) -> bool:
-    """[a1,a2] subset of the open interval (b1,b2)."""
-    return b1 < a1 and a2 < b2
+    Each axis is a closed interval with lo <= hi.  TOPOLOGY_SETS[code]
+    is the set of classes that hold.  The open-interval tests keep
+    ``lo < hi`` so that a box whose width or height rounds away to zero
+    has no interior.
+    """
+    if ax > bx2 or bx > ax2 or ay > by2 or by > ay2:
+        return TOPO_DISJOINT
+    if not (ax < bx2 and bx < ax2 and ay < by2 and by < ay2
+            and ax < ax2 and bx < bx2 and ay < ay2 and by < by2):
+        return TOPO_TOUCH
+    a_in_b = bx <= ax and ax2 <= bx2 and by <= ay and ay2 <= by2
+    b_in_a = ax <= bx and bx2 <= ax2 and ay <= by and by2 <= ay2
+    if a_in_b:
+        if b_in_a:
+            return TOPO_EQUAL
+        if bx < ax and ax2 < bx2 and by < ay and ay2 < by2:
+            return TOPO_INSIDE
+        return TOPO_COVERED_BY
+    return TOPO_CONTAINS if b_in_a else TOPO_OVERLAP
 
 
 def topology(a: BoundingBox, b: BoundingBox) -> frozenset:
@@ -147,34 +173,8 @@ def topology(a: BoundingBox, b: BoundingBox) -> frozenset:
     intersection.  CROSSES applies to line-vs-box geometry only and is
     never returned for a box pair.
     """
-    ax = (a.x, a.x2)
-    ay = (a.y, a.y2)
-    bx = (b.x, b.x2)
-    by = (b.y, b.y2)
-
-    closed = _closed_overlap(*ax, *bx) and _closed_overlap(*ay, *by)
-    if not closed:
-        return frozenset({SpatialRelationClass.DISJOINT})
-
-    out = {SpatialRelationClass.INTERSECT}
-    interiors = _open_overlap(*ax, *bx) and _open_overlap(*ay, *by)
-    if not interiors:
-        out.add(SpatialRelationClass.TOUCH)
-        return frozenset(out)
-
-    a_in_b = _closed_subset(*ax, *bx) and _closed_subset(*ay, *by)
-    b_in_a = _closed_subset(*bx, *ax) and _closed_subset(*by, *ay)
-    if b_in_a:
-        out.add(SpatialRelationClass.CONTAINS)
-    if a_in_b:
-        out.add(SpatialRelationClass.WITHIN)
-        if _open_subset(*ax, *bx) and _open_subset(*ay, *by):
-            out.add(SpatialRelationClass.INSIDE)
-        else:
-            out.add(SpatialRelationClass.COVERED_BY)
-    if not a_in_b and not b_in_a:
-        out.add(SpatialRelationClass.OVERLAP)
-    return frozenset(out)
+    return TOPOLOGY_SETS[topology_code(a.x, a.y, a.x2, a.y2,
+                                       b.x, b.y, b.x2, b.y2)]
 
 
 def overlap_ratio(a: BoundingBox, b: BoundingBox) -> float:
@@ -196,21 +196,35 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return inter / (a.area + b.area - inter)
 
 
+# enum members bound once: attribute lookups on an Enum class are slow
+_ABOVE, _BELOW = DirectionClass.ABOVE, DirectionClass.BELOW
+_LEFT, _RIGHT = DirectionClass.LEFT, DirectionClass.RIGHT
+
+
+def direction_of(ax, ay, bx, by) -> Optional[DirectionClass]:
+    """Qualitative direction of centroid (ax, ay) relative to (bx, by).
+
+    Axis dominance breaks ties: |dy| >= |dx| resolves to the vertical
+    class.  None when the centroids coincide.
+    """
+    dx = bx - ax
+    dy = by - ay
+    if (dy if dy >= 0 else -dy) >= (dx if dx >= 0 else -dx):
+        if dy == 0:   # so dx == 0 too
+            return None
+        return _ABOVE if ay < by else _BELOW
+    return _LEFT if ax < bx else _RIGHT
+
+
 def direction(a: BoundingBox, b: BoundingBox) -> DirectionClass:
     """Qualitative direction of a relative to b, on centroids.
 
-    Axis dominance breaks ties: |dy| >= |dx| resolves to the vertical
-    class.  direction(a, b) == ABOVE reads "a is above b".
+    direction(a, b) == ABOVE reads "a is above b".
     """
-    ax, ay = a.centroid
-    bx, by = b.centroid
-    dx = bx - ax
-    dy = by - ay
-    if dx == 0 and dy == 0:
+    d = direction_of(*a.centroid, *b.centroid)
+    if d is None:
         raise CoincidentCentroids("boxes have coincident centroids")
-    if abs(dy) >= abs(dx):
-        return DirectionClass.ABOVE if ay < by else DirectionClass.BELOW
-    return DirectionClass.LEFT if ax < bx else DirectionClass.RIGHT
+    return d
 
 
 def centroid_distance(a: BoundingBox, b: BoundingBox) -> float:

@@ -1,8 +1,8 @@
 """Per-frame complete directed labeled graphs over detected objects.
 
 Each frame becomes a graph with one node per object and n(n-1)
-directed edges.  Edge relations are materialized lazily: only the
-relations required by the registered rules are evaluated.
+directed edges.  Only the relations required by the registered rules
+are evaluated, for every ordered pair in one pass over the frame.
 """
 
 from __future__ import annotations
@@ -12,33 +12,24 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, Optional, Tuple
 
 from . import geometry
-from .errors import CoincidentCentroids, UnknownRelation
+from .errors import UnknownRelation
 from .ingest import FrameDetections, ObjectNode
 
 
-def _rel_topology(a, b):
-    return geometry.topology(a, b)
+# relations decided in the one-pass kernel from the boxes' edge coordinates
+KERNEL_RELATIONS = frozenset({
+    "topology",    # set of SpatialRelationClass
+    "overlap",     # boolean relation operation
+    "direction",   # DirectionClass, or None for coincident centroids
+})
 
-
-def _rel_overlap(a, b):
-    return geometry.SpatialRelationClass.OVERLAP in geometry.topology(a, b)
-
-
-def _rel_direction(a, b):
-    # Undefined (None) for coincident centroids; rules treat it as no match.
-    try:
-        return geometry.direction(a, b)
-    except CoincidentCentroids:
-        return None
-
-
+# metric relation operations, evaluated per pair on the two boxes
 RELATION_FUNCS = {
-    "topology": _rel_topology,       # set of SpatialRelationClass
-    "overlap": _rel_overlap,         # boolean relation operation
-    "direction": _rel_direction,     # DirectionClass or None
-    "distance": geometry.centroid_distance,   # metric relation operation
-    "overlap_ratio": geometry.overlap_ratio,  # metric relation operation
+    "distance": geometry.centroid_distance,
+    "overlap_ratio": geometry.overlap_ratio,
 }
+
+RELATIONS = KERNEL_RELATIONS | RELATION_FUNCS.keys()
 
 
 @dataclass(frozen=True)
@@ -85,24 +76,66 @@ def _fmt(val) -> str:
     return str(val)
 
 
+def _pair_relations(objects, required) -> Dict[Tuple[int, int], Dict[str, object]]:
+    """Every ordered pair's required relations, in one pass over the frame.
+
+    Each object's edge coordinates and centroid are read once; the
+    topology code is computed once per pair and serves both the
+    topology and the overlap relation.
+    """
+    topology_code = geometry.topology_code
+    topology_sets = geometry.TOPOLOGY_SETS
+    direction_of = geometry.direction_of
+    overlap_code = geometry.TOPO_OVERLAP
+    topo = "topology" in required
+    overlap = "overlap" in required
+    need_code = topo or overlap
+    direc = "direction" in required
+    metric = [(rel, RELATION_FUNCS[rel]) for rel in required
+              if rel in RELATION_FUNCS]
+    rows = []
+    for o in objects:
+        b = o.bbox
+        x, y, w, h = b.x, b.y, b.w, b.h
+        rows.append((o.track_id, x, y, x + w, y + h,
+                     x + w / 2.0, y + h / 2.0, b))
+    edges: Dict[Tuple[int, int], Dict[str, object]] = {}
+    for u, ax, ay, ax2, ay2, acx, acy, abox in rows:
+        for v, bx, by, bx2, by2, bcx, bcy, bbox in rows:
+            if u == v:
+                continue
+            vals: Dict[str, object] = {}
+            if need_code:
+                code = topology_code(ax, ay, ax2, ay2, bx, by, bx2, by2)
+                if topo:
+                    vals["topology"] = topology_sets[code]
+                if overlap:
+                    vals["overlap"] = code == overlap_code
+            if direc:
+                vals["direction"] = direction_of(acx, acy, bcx, bcy)
+            if metric:
+                for rel, fn in metric:
+                    vals[rel] = fn(abox, bbox)
+            edges[(u, v)] = vals
+    return edges
+
+
 def build_frame_graph(frame: FrameDetections,
                       required_relations) -> VekgGraph:
     """Build the frame's graph, evaluating exactly the required relations."""
     required = frozenset(required_relations)
-    unknown = required - RELATION_FUNCS.keys()
+    unknown = required - RELATIONS
     if unknown:
         raise UnknownRelation(f"unknown relation(s): {sorted(unknown)}")
     t0 = time.perf_counter()
-    edges: Dict[Tuple[int, int], Dict[str, object]] = {}
-    for a in frame.objects:
-        for b in frame.objects:
-            if a.track_id == b.track_id:
-                continue
-            edges[(a.track_id, b.track_id)] = {
-                rel: RELATION_FUNCS[rel](a.bbox, b.bbox) for rel in required
-            }
+    objects = frame.objects
+    if required:
+        edges = _pair_relations(objects, required)
+    else:
+        edges = {(a.track_id, b.track_id): {} for a in objects for b in objects
+                 if a.track_id != b.track_id}
     build_ms = (time.perf_counter() - t0) * 1000.0
-    return VekgGraph(timestamp=frame.timestamp, nodes=tuple(frame.objects),
+    return VekgGraph(timestamp=frame.timestamp, nodes=tuple(objects),
                      edges=edges, relation_classes=required, frame=frame,
                      build_ms=build_ms)
 

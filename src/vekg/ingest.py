@@ -14,6 +14,7 @@ integer milliseconds since stream start and must strictly increase.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import sys
@@ -88,37 +89,60 @@ def _require(obj: dict, key: str, line_no: Optional[int] = None):
 
 
 def _parse_object(raw: dict) -> ObjectNode:
+    if not isinstance(raw, dict):
+        raise SchemaViolation("each object must be a JSON object")
     bbox = _require(raw, "bbox")
     if not (isinstance(bbox, list) and len(bbox) == 4):
         raise SchemaViolation("bbox must be a [x, y, w, h] list")
     try:
         box = BoundingBox(*[float(v) for v in bbox])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaViolation(str(exc)) from exc
     keypoints = None
-    if raw.get("keypoints"):
+    raw_kp = raw.get("keypoints")
+    if raw_kp:
+        if not isinstance(raw_kp, dict):
+            raise SchemaViolation("keypoints must be an object of name -> [x, y]")
         try:
             keypoints = {str(k): (float(v[0]), float(v[1]))
-                         for k, v in raw["keypoints"].items()}
-        except (TypeError, ValueError, IndexError) as exc:
+                         for k, v in raw_kp.items()}
+        except (TypeError, ValueError, IndexError, KeyError,
+                OverflowError) as exc:
             raise SchemaViolation(f"bad keypoints: {exc}") from exc
     features = None
-    if raw.get("features"):
-        features = tuple(float(v) for v in raw["features"])
+    raw_features = raw.get("features")
+    if raw_features:
+        if not (isinstance(raw_features, list)
+                and all(type(v) in (int, float) for v in raw_features)):
+            raise SchemaViolation("features must be a list of numbers")
+        try:
+            features = tuple(float(v) for v in raw_features)
+        except OverflowError as exc:
+            raise SchemaViolation(f"bad features: {exc}") from exc
     try:
         track = int(_require(raw, "track"))
         conf = float(_require(raw, "conf"))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaViolation(str(exc)) from exc
+    attrs = raw.get("attrs", {})
+    if not isinstance(attrs, dict):
+        raise SchemaViolation("attrs must be an object")
     return ObjectNode(
         track_id=track,
         label=str(_require(raw, "label")),
         confidence=conf,
         bbox=box,
-        attributes={str(k): str(v) for k, v in raw.get("attrs", {}).items()},
+        attributes={str(k): str(v) for k, v in attrs.items()},
         keypoints=keypoints,
         features=features,
     )
+
+
+def _loads(text: str, what: str):
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:   # JSONDecodeError is a ValueError
+        raise MalformedRecord(f"{what}: {exc}") from exc
 
 
 def parse_frame(record: str,
@@ -128,15 +152,19 @@ def parse_frame(record: str,
     ``prev`` is the (frame_index, timestamp) of the previous frame, used
     to enforce strict monotonicity.
     """
-    try:
-        raw = json.loads(record)
-    except json.JSONDecodeError as exc:
-        raise MalformedRecord(f"not valid JSON: {exc}") from exc
+    raw = _loads(record, "not valid JSON")
     if not isinstance(raw, dict):
         raise MalformedRecord("frame record must be a JSON object")
-    frame_index = int(_require(raw, "frame"))
-    ts = int(_require(raw, "ts_ms"))
-    objects = tuple(_parse_object(o) for o in _require(raw, "objects"))
+    frame_index = _require(raw, "frame")
+    ts = _require(raw, "ts_ms")
+    # exact type tests: JSON true/false parse to bool, a subclass of int
+    if type(frame_index) is not int or type(ts) is not int:
+        raise SchemaViolation(
+            f"frame and ts_ms must be integers, got {frame_index!r} and {ts!r}")
+    raw_objects = _require(raw, "objects")
+    if not isinstance(raw_objects, list):
+        raise SchemaViolation("objects must be a list")
+    objects = tuple(_parse_object(o) for o in raw_objects)
     if prev is not None:
         prev_index, prev_ts = prev
         if ts <= prev_ts:
@@ -176,15 +204,17 @@ def serialize_header(header: StreamHeader) -> str:
 
 
 def parse_header(line: str) -> StreamHeader:
-    try:
-        raw = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise MalformedRecord(f"bad header: {exc}") from exc
+    raw = _loads(line, "bad header")
     if not isinstance(raw, dict) or raw.get("format") != STREAM_FORMAT:
         raise MalformedRecord("first line must be a stream header")
     res = _require(raw, "resolution")
-    return StreamHeader(resolution=(int(res[0]), int(res[1])),
-                        version=int(raw.get("version", STREAM_VERSION)))
+    if not (isinstance(res, list) and len(res) == 2
+            and type(res[0]) is int and type(res[1]) is int):
+        raise SchemaViolation("resolution must be two integers [width, height]")
+    version = raw.get("version", STREAM_VERSION)
+    if type(version) is not int:
+        raise SchemaViolation("version must be an integer")
+    return StreamHeader(resolution=(res[0], res[1]), version=version)
 
 
 class StreamReader:
@@ -200,14 +230,17 @@ class StreamReader:
 
     def __iter__(self) -> Iterator[FrameDetections]:
         if self.source == "-":
-            yield from self._read(sys.stdin)
-            return
-        try:
-            fh = open(self.source, "r", encoding="utf-8")
-        except OSError as exc:
-            raise SourceUnavailable(f"cannot open {self.source}: {exc}") from exc
-        with fh:
-            yield from self._read(fh)
+            source = contextlib.nullcontext(sys.stdin)   # never close stdin
+        else:
+            try:
+                source = open(self.source, "r", encoding="utf-8")
+            except OSError as exc:
+                raise SourceUnavailable(f"cannot open {self.source}: {exc}") from exc
+        with source as fh:
+            try:
+                yield from self._read(fh)
+            except UnicodeDecodeError as exc:
+                raise MalformedRecord(f"stream is not UTF-8 text: {exc}") from exc
 
     def _read(self, fh) -> Iterator[FrameDetections]:
         prev = None

@@ -1,27 +1,20 @@
 """Pipeline wiring: ingest -> graph build -> window/aggregate -> match.
 
-The three processing stages can run as concurrent workers connected by
-bounded ordered queues (back-pressure blocks the producer); results are
-emitted in window order either way.  The synchronous path is identical
-and is what the tests use.
+One synchronous chain of generator stages; each window's result is
+yielded as soon as its closing frame has been read.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
+import time
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional
 
 from .graph import stream_graphs
 from .metrics import LatencyReport
 from .rules import Matcher, MatchNotification, RuleSet
 from .tag import ReductionReport, VekgTag, aggregate, reduction_report
-from .windowing import WindowState, time_window
-
-import time
-
-_SENTINEL = object()
+from .windowing import time_window
 
 
 @dataclass
@@ -33,78 +26,26 @@ class WindowResult:
     reduction: ReductionReport
 
 
-def _timed_aggregate(window: WindowState, required) -> Tuple[VekgTag, float]:
-    t0 = time.perf_counter()
-    tag = aggregate(window, required)
-    return tag, (time.perf_counter() - t0) * 1000.0
-
-
-def _iter_to_queue(it, q: queue.Queue, errbox: list):
-    try:
-        for item in it:
-            q.put(item)
-    except BaseException as exc:   # propagated to the consumer
-        errbox.append(exc)
-    finally:
-        q.put(_SENTINEL)
-
-
-def _queue_iter(q: queue.Queue, errbox: list):
-    while True:
-        item = q.get()
-        if item is _SENTINEL:
-            if errbox:
-                raise errbox[0]
-            return
-        yield item
-
-
 def run_pipeline(frames, ruleset: RuleSet,
-                 window_ms: Optional[int] = None,
-                 threads: bool = False,
-                 queue_size: int = 8) -> Iterator[WindowResult]:
+                 window_ms: Optional[int] = None) -> Iterator[WindowResult]:
     """Run the full matching pipeline over a frame stream.
 
-    Yields one WindowResult per window, in window order.  With
-    ``threads=True`` the graph builder and the window aggregator run in
-    their own workers.
+    Yields one WindowResult per window, in window order.
     """
     required = ruleset.required_relations()
     length = ruleset.window_ms(window_ms)
     matcher = Matcher(ruleset)
-
-    def windows_of(graphs):
-        for window in time_window(graphs, length):
-            tag, tag_ms = _timed_aggregate(window, required)
-            vekg_ms = sum(g.build_ms for g in window.graphs)
-            yield window, tag, vekg_ms, tag_ms
-
-    if threads:
-        q_graphs: queue.Queue = queue.Queue(maxsize=queue_size)
-        q_windows: queue.Queue = queue.Queue(maxsize=queue_size)
-        err1: list = []
-        err2: list = []
-        t1 = threading.Thread(
-            target=_iter_to_queue,
-            args=(stream_graphs(frames, required), q_graphs, err1),
-            daemon=True)
-        t2 = threading.Thread(
-            target=_iter_to_queue,
-            args=(windows_of(_queue_iter(q_graphs, err1)), q_windows, err2),
-            daemon=True)
-        t1.start()
-        t2.start()
-        stage_out = _queue_iter(q_windows, err2)
-    else:
-        stage_out = windows_of(stream_graphs(frames, required))
-
-    for index, (window, tag, vekg_ms, tag_ms) in enumerate(stage_out):
+    windows = time_window(stream_graphs(frames, required), length)
+    for index, window in enumerate(windows):
         t0 = time.perf_counter()
+        tag = aggregate(window, required)
+        t1 = time.perf_counter()
         notifications = matcher.match(tag)
-        search_ms = (time.perf_counter() - t0) * 1000.0
+        t2 = time.perf_counter()
         yield WindowResult(
             index=index, tag=tag, notifications=notifications,
-            latency=LatencyReport(vekg_construction_ms=vekg_ms,
-                                  tag_construction_ms=tag_ms,
-                                  tag_search_ms=search_ms),
+            latency=LatencyReport(
+                vekg_construction_ms=sum(g.build_ms for g in window.graphs),
+                tag_construction_ms=(t1 - t0) * 1000.0,
+                tag_search_ms=(t2 - t1) * 1000.0),
             reduction=reduction_report(window, tag))

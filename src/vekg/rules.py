@@ -97,6 +97,9 @@ REQUIRED_PARAMS = {
     RuleKind.ATTRIBUTE_QUERY: ("attribute", "value"),
 }
 
+# required params that are numbers; numeric defaults give their own type
+REQUIRED_NUMERIC = {"count_threshold": float, "overlap_threshold": float}
+
 DEFAULT_LABELS = {
     RuleKind.FALL_DETECTION: ("person",),
     RuleKind.HORSE_RIDE: ("person", "horse"),
@@ -142,9 +145,11 @@ def register_rules(configs: Sequence[dict]) -> RuleSet:
     rules = []
     seen_ids = set()
     for cfg in configs:
+        if not isinstance(cfg, dict):
+            raise InvalidRuleConfig(f"rule config must be a mapping, got {cfg!r}")
         try:
             kind = RuleKind(cfg["kind"])
-        except (KeyError, ValueError) as exc:
+        except (KeyError, ValueError, TypeError) as exc:
             raise InvalidRuleConfig(f"bad or missing rule kind: {cfg.get('kind')!r}") from exc
         rule_id = str(cfg.get("id") or cfg.get("rule_id") or "")
         if not rule_id:
@@ -152,22 +157,49 @@ def register_rules(configs: Sequence[dict]) -> RuleSet:
         if rule_id in seen_ids:
             raise InvalidRuleConfig(f"duplicate rule id {rule_id!r}")
         seen_ids.add(rule_id)
-        window_ms = int(cfg.get("window_ms", 10_000))
+        window_ms = _as_number(cfg.get("window_ms", 10_000), int, "window_ms", rule_id)
         if window_ms <= 0:
             raise InvalidRuleConfig(f"rule {rule_id}: window_ms must be positive")
+        given = cfg.get("params") or {}
+        if not isinstance(given, dict):
+            raise InvalidRuleConfig(f"rule {rule_id}: params must be a mapping")
         params = dict(DEFAULTS[kind])
-        params.update(cfg.get("params", {}))
+        params.update(given)
+        for key, default in DEFAULTS[kind].items():
+            if default is None and params[key] is None:
+                continue   # penalty: None selects the BIC default
+            params[key] = _as_number(params[key], int if isinstance(default, int)
+                                     else float, key, rule_id)
+        if params.get("penalty") is not None and not params["penalty"] >= 0:
+            raise InvalidRuleConfig(f"rule {rule_id}: penalty must be >= 0")
         for key in REQUIRED_PARAMS.get(kind, ()):
             if params.get(key) is None:
                 raise InvalidRuleConfig(f"rule {rule_id}: missing param {key!r}")
+            if key in REQUIRED_NUMERIC:
+                params[key] = _as_number(params[key], REQUIRED_NUMERIC[key],
+                                         key, rule_id)
         if "region" in params:
             params["region"] = _as_region(params["region"], rule_id)
         if "slots" in params:
+            if not isinstance(params["slots"], list):
+                raise InvalidRuleConfig(f"rule {rule_id}: slots must be a list of boxes")
             params["slots"] = [_as_box(s, rule_id) for s in params["slots"]]
-        labels = tuple(cfg.get("labels") or DEFAULT_LABELS[kind])
+        labels = cfg.get("labels") or DEFAULT_LABELS[kind]
+        if not (isinstance(labels, (list, tuple))
+                and all(isinstance(label, str) for label in labels)):
+            raise InvalidRuleConfig(f"rule {rule_id}: labels must be a list of names")
+        labels = tuple(labels)
         rules.append(EventRule(rule_id=rule_id, kind=kind, object_labels=labels,
                                window_ms=window_ms, params=params))
     return RuleSet(rules=tuple(rules))
+
+
+def _as_number(raw, cast, key: str, rule_id: str):
+    try:
+        return cast(raw)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidRuleConfig(
+            f"rule {rule_id}: param {key!r} must be a number, got {raw!r}") from exc
 
 
 def _as_region(raw, rule_id: str) -> Region:
@@ -240,8 +272,8 @@ def _tracks_with_label(tag: VekgTag, labels: Sequence[str]) -> List[int]:
 def eval_fall(tag: VekgTag, rule: EventRule) -> List[MatchNotification]:
     """Abrupt aspect-ratio change followed by a no-motion span."""
     p = rule.params
-    gap = int(p["gap_frames"])
-    jump = float(p["min_aspect_jump"])
+    gap = p["gap_frames"]
+    jump = p["min_aspect_jump"]
     out = []
     for track in _tracks_with_label(tag, rule.object_labels):
         positions = tag.edges[(track, track)][POSITION]
@@ -255,7 +287,7 @@ def eval_fall(tag: VekgTag, rule: EventRule) -> List[MatchNotification]:
         cps = pelt_changepoints(seg, penalty=p.get("penalty"))
         motion = motion_series(tag, track)
         still = _merge_spans(
-            no_motion_span(motion, float(p["no_motion_speed_px"]), 1), gap)
+            no_motion_span(motion, p["no_motion_speed_px"], 1), gap)
         bounds = [0] + cps + [len(seg)]
         for ci, cp in enumerate(cps):
             before = seg[bounds[ci]:cp]
@@ -266,7 +298,7 @@ def eval_fall(tag: VekgTag, rule: EventRule) -> List[MatchNotification]:
                 continue
             cp_abs = idx[cp]
             span = next((s for s in still
-                         if s.length >= int(p["still_frames"])
+                         if s.length >= p["still_frames"]
                          and cp_abs <= s.start <= cp_abs + gap),
                         None)
             if span is None:
@@ -326,7 +358,7 @@ def eval_ride(tag: VekgTag, mount_label: str,
               rule: EventRule) -> List[MatchNotification]:
     """Person overlapping and above a mount, both moving the same way."""
     p = rule.params
-    min_speed = float(p["min_speed_px"])
+    min_speed = p["min_speed_px"]
     persons = _tracks_with_label(tag, ("person",))
     mounts = _tracks_with_label(tag, (mount_label,))
     out = []
@@ -354,8 +386,8 @@ def eval_ride(tag: VekgTag, mount_label: str,
                 sm = (vm[0] ** 2 + vm[1] ** 2) ** 0.5
                 dot = vp[0] * vm[0] + vp[1] * vm[1]
                 flags.append(sp > min_speed and sm > min_speed and dot > 0)
-            for s, e in _runs_with_gap(flags, int(p["max_gap_frames"]),
-                                       int(p["min_frames"])):
+            for s, e in _runs_with_gap(flags, p["max_gap_frames"],
+                                       p["min_frames"]):
                 out.append(MatchNotification(
                     rule_id=rule.rule_id, kind=rule.kind,
                     interval=_interval_ms(tag, s, e),
@@ -414,6 +446,12 @@ def _has_side_keypoints(tag: VekgTag, track: int, side: str) -> bool:
                for obj in tag.node_frames[track])
 
 
+def _sides_with_keypoints(tag: VekgTag, tracks: Sequence[int]) -> Dict[int, Set[str]]:
+    """Per track, the arm sides whose keypoints appear in some frame."""
+    return {t: {side for side in _SIDE_KEYS if _has_side_keypoints(tag, t, side)}
+            for t in tracks}
+
+
 def _two_phase(beta: list, theta_list: List[list], epsilon: float,
                min_phase: int) -> Optional[Tuple[int, int, int]]:
     """Find a raise/approach phase followed by a retract phase.
@@ -446,18 +484,18 @@ def _two_phase(beta: list, theta_list: List[list], epsilon: float,
 def eval_handshake(tag: VekgTag, rule: EventRule) -> List[MatchNotification]:
     """Both arms raise while wrists converge, then the reverse."""
     p = rule.params
-    eps = float(p["trend_epsilon"])
-    min_phase = int(p["min_phase_frames"])
+    eps = p["trend_epsilon"]
+    min_phase = p["min_phase_frames"]
     persons = _tracks_with_label(tag, rule.object_labels)
+    sides = _sides_with_keypoints(tag, persons)
+    skipped = 0
     out = []
     for ai in range(len(persons)):
         for bi in range(ai + 1, len(persons)):
             u, v = persons[ai], persons[bi]
             for side in ("right", "left"):
-                if not (_has_side_keypoints(tag, u, side)
-                        and _has_side_keypoints(tag, v, side)):
-                    log.info("handshake %s: pair (%s,%s) missing %s keypoints",
-                             rule.rule_id, u, v, side)
+                if side not in sides[u] or side not in sides[v]:
+                    skipped += 1
                     continue
                 wrist = _SIDE_KEYS[side][1]
                 wu = _keypoint_series(tag, u, wrist)
@@ -480,25 +518,29 @@ def eval_handshake(tag: VekgTag, rule: EventRule) -> List[MatchNotification]:
                     interval=_interval_ms(tag, i0, i1),
                     participants=(u, v),
                     evidence={"side": side, "min_wrist_px": round(beta[m], 2)}))
+    if skipped:
+        log.info("handshake %s: skipped %d pair-side(s) missing keypoints",
+                 rule.rule_id, skipped)
     return out
 
 
 def eval_punch(tag: VekgTag, rule: EventRule) -> List[MatchNotification]:
     """One arm raises while the wrist closes on the other's shoulder."""
     p = rule.params
-    eps = float(p["trend_epsilon"])
-    min_phase = int(p["min_phase_frames"])
-    contact = float(p["contact_px"])
+    eps = p["trend_epsilon"]
+    min_phase = p["min_phase_frames"]
+    contact = p["contact_px"]
     persons = _tracks_with_label(tag, rule.object_labels)
+    sides = _sides_with_keypoints(tag, persons)
+    skipped = 0
     out = []
     for attacker in persons:
         for victim in persons:
             if attacker == victim:
                 continue
             for side in ("right", "left"):
-                if not _has_side_keypoints(tag, attacker, side):
-                    log.info("punch %s: attacker %s missing %s keypoints",
-                             rule.rule_id, attacker, side)
+                if side not in sides[attacker]:
+                    skipped += 1
                     continue
                 wrist = _SIDE_KEYS[side][1]
                 wa = _keypoint_series(tag, attacker, wrist)
@@ -524,6 +566,9 @@ def eval_punch(tag: VekgTag, rule: EventRule) -> List[MatchNotification]:
                     interval=_interval_ms(tag, i0, i1),
                     participants=(attacker, victim),
                     evidence={"side": side, "min_reach_px": round(beta[m], 2)}))
+    if skipped:
+        log.info("punch %s: skipped %d pair-side(s) whose attacker lacks "
+                 "keypoints", rule.rule_id, skipped)
     return out
 
 
@@ -531,7 +576,7 @@ def eval_traffic(tag: VekgTag, rule: EventRule) -> List[MatchNotification]:
     """Average in-region object count over the window above a threshold."""
     p = rule.params
     region: Region = p["region"]
-    threshold = float(p["count_threshold"])
+    threshold = p["count_threshold"]
     if tag.frame_count == 0:
         return []
     tracks = _tracks_with_label(tag, rule.object_labels)
@@ -556,7 +601,7 @@ def eval_parking(tag: VekgTag, rule: EventRule) -> List[MatchNotification]:
     """Per-slot occupancy spans from the overlap-ratio test."""
     p = rule.params
     slots: List[BoundingBox] = p["slots"]
-    threshold = float(p["overlap_threshold"])
+    threshold = p["overlap_threshold"]
     tracks = _tracks_with_label(tag, rule.object_labels)
     out = []
     nframes = tag.frame_count
@@ -585,8 +630,8 @@ def eval_parking(tag: VekgTag, rule: EventRule) -> List[MatchNotification]:
                 cur = None
                 flags.append(False)
                 occupant.append(None)
-        for s, e in _runs_with_gap(flags, int(p["max_gap_frames"]),
-                                   int(p["min_frames"])):
+        for s, e in _runs_with_gap(flags, p["max_gap_frames"],
+                                   p["min_frames"]):
             occ = [t for t in occupant[s:e + 1] if t is not None]
             track = max(set(occ), key=occ.count)
             out.append(MatchNotification(
@@ -610,8 +655,8 @@ def eval_jaywalk(tag: VekgTag, rule: EventRule) -> List[MatchNotification]:
                 flags.append(None)
             else:
                 flags.append(geometry.inside_region(obj.bbox, region))
-        for s, e in _runs_with_gap(flags, int(p["max_gap_frames"]),
-                                   int(p["min_frames"])):
+        for s, e in _runs_with_gap(flags, p["max_gap_frames"],
+                                   p["min_frames"]):
             out.append(MatchNotification(
                 rule_id=rule.rule_id, kind=rule.kind,
                 interval=_interval_ms(tag, s, e),

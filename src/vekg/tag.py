@@ -127,18 +127,17 @@ def aggregate(window: WindowState, required_relations=()) -> VekgTag:
     tids = sorted(nodes)
     for u in tids:
         # self-loop: per-frame position series
-        edges[(u, u)] = {POSITION: [
-            node_frames[u][i].bbox if node_frames[u][i] is not None else X
-            for i in range(nframes)]}
+        edges[(u, u)] = {POSITION: [o.bbox if o is not None else X
+                                    for o in node_frames[u]]}
         for v in tids:
-            if u == v:
-                continue
-            series: Dict[str, list] = {rel: [X] * nframes for rel in required}
-            edges[(u, v)] = series
-    for i, g in enumerate(window.graphs):
-        for (u, v), values in g.edges.items():
-            for rel in required:
-                edges[(u, v)][rel][i] = values[rel]
+            if u != v:
+                edges[(u, v)] = {rel: [X] * nframes for rel in required}
+    if required:
+        for i, g in enumerate(window.graphs):
+            for pair, values in g.edges.items():
+                series = edges[pair]
+                for rel in required:
+                    series[rel][i] = values[rel]
 
     return VekgTag(start=window.start, end=window.end, timestamps=timestamps,
                    nodes=nodes, edges=edges, relation_classes=required,

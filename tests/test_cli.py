@@ -120,6 +120,81 @@ class TestValidate:
     def test_missing_file(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope")]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("record", [
+        '{"frame":"a","ts_ms":0,"objects":[]}',
+        '{"frame":0,"ts_ms":1.7,"objects":[]}',
+        '{"frame":0,"ts_ms":0,"objects":[1]}',
+        '{"frame":0,"ts_ms":0,"objects":[{"track":1,"label":"car","conf":0.5,'
+        '"bbox":[0,0,5,5],"attrs":[1]}]}',
+        '{"frame":0,"ts_ms":0,"objects":[{"track":1,"label":"car","conf":0.5,'
+        '"bbox":[0,0,5,5],"features":["x"]}]}',
+    ], ids=["frame-string", "ts-float", "object-int", "attrs-list",
+            "features-string"])
+    def test_malformed_record_is_input_error(self, tmp_path, record):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"format":"vekg-detections","version":1,'
+                       '"resolution":[10,10]}\n' + record + "\n")
+        assert main(["validate", str(bad)]) == EXIT_INPUT
+
+    def test_malformed_header_is_input_error(self, tmp_path):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"format":"vekg-detections","resolution":"ab"}\n')
+        assert main(["validate", str(bad)]) == EXIT_INPUT
+
+    def test_non_utf8_stream_is_input_error(self, tmp_path):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b'{"format":"vekg-detections","version":1,'
+                        b'"resolution":[10,10]}\n{"frame":0,"x":"\xff"}\n')
+        assert main(["validate", str(bad)]) == EXIT_INPUT
+
+
+class TestRuleParams:
+    """A bad rule config is rejected at load, whatever the stream holds."""
+
+    @staticmethod
+    def run_with(tmp_path, actors, rule):
+        stream = tmp_path / "s.jsonl"
+        lines = ['{"format":"vekg-detections","version":1,'
+                 '"resolution":[640,480]}']
+        for i in range(30):
+            objs = [{"track": t, "label": label, "conf": 0.9,
+                     "bbox": [x + 3 * i, y, w, h]}
+                    for t, label, (x, y, w, h) in actors]
+            lines.append(json.dumps({"frame": i, "ts_ms": 33 * i,
+                                     "objects": objs}))
+        stream.write_text("\n".join(lines) + "\n")
+        rules = tmp_path / "r.yaml"
+        rules.write_text(yaml.safe_dump({"rules": [rule]}))
+        out = tmp_path / "o.jsonl"
+        rc = main(["--quiet", "run", "--input", str(stream),
+                   "--rules", str(rules), "--out", str(out)])
+        return rc, out
+
+    @pytest.mark.parametrize("actors", [
+        [(1, "person", [10, 10, 40, 90])],
+        [(1, "person", [10, 10, 40, 90]), (2, "horse", [0, 60, 100, 80])],
+    ], ids=["no-horse", "person-and-horse"])
+    def test_non_numeric_param_exits_2(self, tmp_path, actors):
+        rc, out = self.run_with(tmp_path, actors, {
+            "id": "ride", "kind": "horse_ride", "window_ms": 500,
+            "params": {"min_frames": "abc"}})
+        assert rc == EXIT_INPUT
+        assert not out.exists()   # rejected before the stream was read
+
+    @pytest.mark.parametrize("rule", [
+        {"id": "f", "kind": "fall_detection", "params": {"penalty": -1}},
+        {"id": "f", "kind": "fall_detection", "labels": 5},
+        {"id": "f", "kind": "fall_detection", "window_ms": "soon"},
+        {"id": "p", "kind": "parking_slot_status",
+         "params": {"slots": 5, "overlap_threshold": 0.5}},
+        {"id": "p", "kind": "parking_slot_status",
+         "params": {"slots": [[0, 0, 50, 50]], "overlap_threshold": "half"}},
+    ], ids=["negative-penalty", "labels-int", "window-string", "slots-int",
+            "threshold-string"])
+    def test_bad_rule_config_exits_2(self, tmp_path, rule):
+        rc, _ = self.run_with(tmp_path, [(1, "person", [10, 10, 40, 90])], rule)
+        assert rc == EXIT_INPUT
+
 
 class TestBench:
     def test_street_report(self, capsys):

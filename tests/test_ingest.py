@@ -3,9 +3,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vekg.errors import (MalformedRecord, NonMonotonicTime, SchemaViolation,
-                         SourceUnavailable)
+                         SourceUnavailable, VekgError)
 from vekg.ingest import (COCO_KEYPOINT_NAMES, StreamHeader, open_stream,
                          parse_frame, parse_header, serialize_frame,
                          serialize_header, write_stream)
@@ -138,3 +140,43 @@ class TestOpenStream:
 def test_coco_names_complete():
     assert len(COCO_KEYPOINT_NAMES) == 17
     assert "right_wrist" in COCO_KEYPOINT_NAMES
+
+
+# arbitrary JSON values, and records shaped like frames and objects whose
+# field values are arbitrary JSON
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.integers(min_value=10 ** 300, max_value=10 ** 400) | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=12)
+NUMBER = st.integers(-5, 50) | st.floats(-5, 50)
+OBJECT = st.fixed_dictionaries(
+    {"track": JSON | st.integers(0, 9), "label": JSON, "conf": JSON | NUMBER,
+     "bbox": JSON | st.lists(NUMBER, min_size=4, max_size=4)},
+    optional={"attrs": JSON, "keypoints": JSON
+              | st.dictionaries(st.sampled_from(["nose", "right_wrist"]), JSON),
+              "features": JSON | st.lists(JSON, max_size=3)})
+FRAME = st.fixed_dictionaries(
+    {"frame": JSON | st.integers(-2, 9), "ts_ms": JSON | st.integers(-2, 9),
+     "objects": JSON | st.lists(OBJECT | JSON, max_size=3)})
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(JSON.map(json.dumps), FRAME.map(json.dumps), st.text(max_size=20)))
+def test_parse_frame_raises_only_engine_errors(record):
+    try:
+        parse_frame(record, prev=(0, 0))
+    except VekgError:
+        pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fixed_dictionaries({"format": st.just("vekg-detections"),
+                              "resolution": JSON | st.lists(JSON, max_size=3)},
+                             optional={"version": JSON}).map(json.dumps))
+def test_parse_header_raises_only_engine_errors(record):
+    try:
+        parse_header(record)
+    except VekgError:
+        pass

@@ -1,0 +1,188 @@
+"""`vekg run` output stays byte-identical across refactors.
+
+Each case runs ``cli.main(["--quiet", "run", ...])`` on a generated
+stream and compares SHA-256 digests of the notification file and of the
+metrics lines (with their wall-clock ``latency`` field removed) against
+digests recorded from the reference implementation.  A digest change
+means a change in behaviour; record new digests only together with a
+deliberate, documented change of output.
+
+To print the current digests, run this file as a script:
+
+    PYTHONPATH=src python3 tests/test_outputs_unchanged.py
+"""
+
+import hashlib
+import json
+import os
+import tempfile
+
+import pytest
+import yaml
+
+from vekg import synth
+from vekg.cli import EXIT_OK, main
+
+RULE_SCENARIOS = ["fall", "horse_ride", "bike_ride", "handshake", "punch",
+                  "traffic", "parking", "jaywalk", "attribute"]
+NOISE = (2.0, 0.05, 7)   # jitter px, dropout, seed (as in acceptance 8)
+
+
+def _dense_scene() -> synth.Scenario:
+    """24 tracks at 30 fps with 1 s windows and ride rules.
+
+    Moving rider/mount pairs ride; static groups put exact geometric
+    corner cases on the pair relations: boxes that touch along an edge
+    or at a corner, nested boxes that share an edge, equal boxes, and
+    boxes with coincident centroids.  Integer keyframes and zero jitter
+    keep the static coordinates exact; dropout still punches X slots.
+    """
+    dur = 4_000
+    actors = []
+    for k in range(4):   # riders moving right over their mounts
+        x0, y = 40 + 60 * k, 40 + 140 * k
+        mount = "horse" if k % 2 == 0 else "bike"
+        actors.append(synth.ActorScript(
+            track_id=1 + k, label="person",
+            bbox_keys=((0, x0 + 25, y, 50, 90), (dur, x0 + 25 + 1440, y, 50, 90))))
+        actors.append(synth.ActorScript(
+            track_id=11 + k, label=mount,
+            bbox_keys=((0, x0, y + 50, 100, 80), (dur, x0 + 1440, y + 50, 100, 80))))
+    static = [
+        # edge touch: person directly on top of a horse
+        (21, "person", (100, 700, 50, 90)), (22, "horse", (100, 790, 100, 80)),
+        # corner touch
+        (23, "person", (400, 700, 50, 90)), (24, "bike", (450, 790, 100, 80)),
+        # nested, sharing the top edge (covered_by / contains)
+        (25, "person", (700, 700, 40, 50)), (26, "horse", (680, 700, 100, 80)),
+        # strictly inside, coincident centroids
+        (27, "person", (1025, 720, 50, 40)), (28, "bike", (1000, 700, 100, 80)),
+        # equal boxes
+        (29, "person", (1300, 700, 60, 60)), (30, "horse", (1300, 700, 60, 60)),
+        # overlap, person above
+        (31, "person", (1600, 650, 50, 90)), (32, "bike", (1580, 700, 100, 80)),
+        # disjoint, far apart
+        (33, "person", (1800, 950, 40, 40)), (34, "horse", (20, 950, 60, 40)),
+    ]
+    actors += [synth.ActorScript(track_id=t, label=label, bbox_keys=((0, *box),))
+               for t, label, box in static]
+    # a moving equal pair and a moving person passing through a static bike
+    actors.append(synth.ActorScript(
+        track_id=41, label="person",
+        bbox_keys=((0, 200, 600, 50, 50), (dur, 1400, 600, 50, 50))))
+    actors.append(synth.ActorScript(
+        track_id=42, label="bike",
+        bbox_keys=((0, 200, 600, 50, 50), (dur, 1400, 600, 50, 50))))
+    actors.append(synth.ActorScript(
+        track_id=43, label="person",
+        bbox_keys=((0, 900, 300, 50, 90), (dur, 900, 900, 50, 90))))
+    actors.append(synth.ActorScript(track_id=44, label="bike",
+                                    bbox_keys=((0, 875, 560, 100, 80),)))
+    rules = ({"id": "horse_ride", "kind": "horse_ride", "window_ms": 1000,
+              "params": {"min_frames": 5}},
+             {"id": "bike_ride", "kind": "bike_ride", "window_ms": 1000})
+    return synth.Scenario(name="dense", duration_ms=dur, fps=30,
+                          resolution=synth.RES, actors=tuple(actors),
+                          rule_configs=rules, window_ms=1000,
+                          dropout_prob=0.05, seed=11)
+
+
+def _cases():
+    """(case id, scenario) for every run whose output is pinned."""
+    cases = [(sc.name, sc) for sc in synth.builtin_scenarios()]
+    cases += [(f"{name}_noisy", synth.get_scenario(f"{name}_positive")
+               .with_noise(*NOISE)) for name in RULE_SCENARIOS]
+    cases.append(("dense", _dense_scene()))
+    return cases
+
+
+def run_digests(sc: synth.Scenario, workdir: str) -> tuple:
+    """SHA-256 of the notification bytes and of the metrics minus latency."""
+    stream = os.path.join(workdir, f"{sc.name}.jsonl")
+    truth = os.path.join(workdir, f"{sc.name}.truth.jsonl")
+    rules = os.path.join(workdir, f"{sc.name}.rules.yaml")
+    out = os.path.join(workdir, f"{sc.name}.out.jsonl")
+    synth.generate(sc, stream, truth)
+    with open(rules, "w", encoding="utf-8") as fh:
+        yaml.safe_dump({"rules": [dict(r) for r in sc.rule_configs]}, fh)
+    rc = main(["--quiet", "run", "--input", stream, "--rules", rules,
+               "--out", out, "--truth", truth])
+    assert rc == EXIT_OK
+    with open(out, "rb") as fh:
+        notes = hashlib.sha256(fh.read()).hexdigest()
+    metrics = hashlib.sha256()
+    with open(out + ".metrics.jsonl", encoding="utf-8") as fh:
+        for line in fh:
+            record = json.loads(line)
+            record.pop("latency", None)
+            metrics.update((json.dumps(record, separators=(",", ":")) + "\n")
+                           .encode())
+    return notes, metrics.hexdigest()
+
+
+# case id -> (notifications sha256, metrics-without-latency sha256)
+DIGESTS = {
+    'fall_positive': ('4db9ced6d5083f717e6117f4f03313896e5ee76ef3eb4315aa554d242a7afa57', '6e6904461642adf72af79cf9c1ff438cb8df06055bef22b2ddf32c3f568fba54'),
+    'fall_negative': ('e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'fac217c376d972825a07397b89363b48eb2090ad8582432df5811a5e17b2848f'),
+    'horse_ride_positive': ('c86f50ad986bb3c8d72b943c9aa3ec0406535a0b27cf21e1e6d53c98a64a186c', '00fba3ad779c2a8c920f89dcb6e282d9a1f4aef261ab0b30154785c41ab1a43f'),
+    'horse_ride_negative': ('e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '38e6e3ea510c25cf296c69235dfafcb210dfd82fec60ed3621228322e144d5da'),
+    'bike_ride_positive': ('22a2e6281d9c07f774e3d31bcf083b84f2ec96fda8f45f66a81bf12f3f3397a8', '00fba3ad779c2a8c920f89dcb6e282d9a1f4aef261ab0b30154785c41ab1a43f'),
+    'bike_ride_negative': ('e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '38e6e3ea510c25cf296c69235dfafcb210dfd82fec60ed3621228322e144d5da'),
+    'handshake_positive': ('63647c904b5bede0aead023dfbd0ea124cd757482b0453f261407e7644d1adc0', '00fba3ad779c2a8c920f89dcb6e282d9a1f4aef261ab0b30154785c41ab1a43f'),
+    'handshake_negative': ('e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '38e6e3ea510c25cf296c69235dfafcb210dfd82fec60ed3621228322e144d5da'),
+    'punch_positive': ('60f47219a3212b203407ccc8c9986841cd7396e48ae2d98496c9adb66162cccb', '00fba3ad779c2a8c920f89dcb6e282d9a1f4aef261ab0b30154785c41ab1a43f'),
+    'punch_negative': ('e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '38e6e3ea510c25cf296c69235dfafcb210dfd82fec60ed3621228322e144d5da'),
+    'traffic_positive': ('9b00ca1929dcc475da5d588773426f1cb7d99f12a575fca66c8a77ddbe17fa2b', '96e61fb918d587ce546190c275ff736c920dc8bc0f33e86f65cab4ab0f78a94f'),
+    'traffic_negative': ('e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '286b1b9b6b0df4f199b646758c78cf5ca0ea44a1055b40d716d1ee002cc7e06b'),
+    'parking_positive': ('28f422d3321aa5f777a8c3d015357d9be7e4ea25e1c998fae61a2e668e8bf2c6', '1dc401d9a772bc6eb544720e43256e29a52f33a6ed7f66004ad7ddef4e453af0'),
+    'parking_negative': ('e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'fac217c376d972825a07397b89363b48eb2090ad8582432df5811a5e17b2848f'),
+    'jaywalk_positive': ('a95ea6fe0508d57f74771dfc40ab3559bc7f4147bf5564d8b546d6f698793f7c', '00fba3ad779c2a8c920f89dcb6e282d9a1f4aef261ab0b30154785c41ab1a43f'),
+    'jaywalk_negative': ('e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '38e6e3ea510c25cf296c69235dfafcb210dfd82fec60ed3621228322e144d5da'),
+    'attribute_positive': ('fd2e353b17c57258505cf871024174095c0389d4f65fd5f5472f01d9b06d3f3a', '40ed5b2585c543117b5c3bb593be610848d1e9154ea9e8fafadfb11abbdf7252'),
+    'attribute_negative': ('e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '38e6e3ea510c25cf296c69235dfafcb210dfd82fec60ed3621228322e144d5da'),
+    'street': ('75a1ca1002ccfa64af39a73be5b09882624bb0efad234955be89a75a575ae8c2', 'c6d513ac9932c663951d2b1a8ff2461d3a8c39ccc8ee7432ca264a9fd9cb9548'),
+    'street_10min': ('3f98f5ac58eeb17989de312ea472288fba4a2f20a2c09c5575a57311b553f6da', 'b0ce2f5ab2a25d0d12c5b1a8a0f2671ff75d2564c75aea897ec44c034aebf34a'),
+    'fall_noisy': ('3213c3c375b2b0a6241b410c07ce026f0b2f0f9600be042701dd23354d37d868', 'a9cb452587303c3db5d625c84784665d36d408bd0f382b769bfbaff1dd516190'),
+    'horse_ride_noisy': ('c86f50ad986bb3c8d72b943c9aa3ec0406535a0b27cf21e1e6d53c98a64a186c', '86822f043990dfb2c6455d9823ba6b414eccb2fa5b1aad3446b663f3debe6dd5'),
+    'bike_ride_noisy': ('22a2e6281d9c07f774e3d31bcf083b84f2ec96fda8f45f66a81bf12f3f3397a8', '86822f043990dfb2c6455d9823ba6b414eccb2fa5b1aad3446b663f3debe6dd5'),
+    'handshake_noisy': ('00f2352bc93b37e096b6cfecb7a6a2916b8ac4d654540e2a33464cd1f7320af1', 'e2441d0cb7e8e7444aeaae332c280b89eea5b76dba62ed43c99106821fa29924'),
+    'punch_noisy': ('d0625304727346b4794b9e040d2754cf59468a15f686387363c70b862924d82a', 'e2441d0cb7e8e7444aeaae332c280b89eea5b76dba62ed43c99106821fa29924'),
+    'traffic_noisy': ('8a2bf6e02fdfb4b740b66797272903260aea45733ecf862e62e0cf5c201e6d4c', '6830e6cdb7d9fe74d19f2f4feb71c507c0d8ba8a14f3f557d3ac63e873191b66'),
+    'parking_noisy': ('28f422d3321aa5f777a8c3d015357d9be7e4ea25e1c998fae61a2e668e8bf2c6', 'b99ff2fe4c929a29341f6b1aa5b37277254957e28ab8654fb9c0924367f88b12'),
+    'jaywalk_noisy': ('304927319e9442584a811dc3b93d3ee6d78f0e53373fd090641f0411bdb1a0da', '86822f043990dfb2c6455d9823ba6b414eccb2fa5b1aad3446b663f3debe6dd5'),
+    'attribute_noisy': ('2cd8355c5084185af4cde5b1422c862440ecf2fe522abbb28c4cc58c25d02f53', 'be7b1d9f1bdccc5c75a6120ec970e25c09f8e4365c40da126c0c44ef72c53577'),
+    'dense': ('7dd214451b1930664860a5d1d0554bb4141483fb9843e8485b4c5559ceaf3643', 'e794400a90e62f0c5dfe03f03e5ec9a037e615aa4649cfe007024e2439145ee7'),
+}
+
+
+@pytest.mark.parametrize("case,scenario", _cases(), ids=[c for c, _ in _cases()])
+def test_run_output_unchanged(case, scenario, tmp_path):
+    assert run_digests(scenario, str(tmp_path)) == DIGESTS[case]
+
+
+def test_dense_scene_exercises_corner_cases(tmp_path):
+    """The dense scene fires both ride rules and holds its corner cases."""
+    from vekg.geometry import SpatialRelationClass as S, topology
+    sc = _dense_scene()
+    assert len(sc.actors) >= 20
+    frame0 = next(synth.generate_frames(sc.with_noise(0.0, 0.0)))
+    boxes = {o.track_id: o.bbox for o in frame0.objects}
+    assert S.TOUCH in topology(boxes[21], boxes[22])
+    assert S.TOUCH in topology(boxes[23], boxes[24])
+    assert S.COVERED_BY in topology(boxes[25], boxes[26])
+    assert boxes[27].centroid == boxes[28].centroid
+    assert boxes[29] == boxes[30]
+    synth.generate(sc, str(tmp_path / "d.jsonl"), str(tmp_path / "d.truth"))
+    rules = tmp_path / "d.yaml"
+    rules.write_text(yaml.safe_dump({"rules": [dict(r) for r in sc.rule_configs]}))
+    out = tmp_path / "d.out"
+    assert main(["--quiet", "run", "--input", str(tmp_path / "d.jsonl"),
+                 "--rules", str(rules), "--out", str(out)]) == EXIT_OK
+    kinds = {json.loads(l)["kind"] for l in out.read_text().splitlines()}
+    assert kinds == {"horse_ride", "bike_ride"}
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        for case, sc in _cases():
+            print(f"    {case!r}: {run_digests(sc, tmp)!r},")

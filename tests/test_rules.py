@@ -47,6 +47,16 @@ class TestRegistry:
         with pytest.raises(InvalidRuleConfig):
             register_rules([{"id": "t", "kind": "high_volume_traffic"}])
 
+    def test_numeric_params_coerced_at_load(self):
+        rule = one_rule("horse_ride", {"min_frames": "12", "min_speed_px": 3})
+        assert rule.params["min_frames"] == 12
+        assert isinstance(rule.params["min_speed_px"], float)
+        with pytest.raises(InvalidRuleConfig):
+            one_rule("horse_ride", {"min_frames": "abc"})
+        with pytest.raises(InvalidRuleConfig):
+            one_rule("parking_slot_status", {"slots": [[0, 0, 5, 5]],
+                                             "overlap_threshold": None})
+
     def test_defaults_filled(self):
         rule = one_rule("fall_detection")
         assert rule.params["still_frames"] == 8
