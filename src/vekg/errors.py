@@ -57,6 +57,10 @@ class NonPositiveLength(VekgError):
     """Window length must be > 0 milliseconds."""
 
 
+class GraphOutsideWindow(VekgError):
+    """A window holds a graph whose timestamp is outside [start, end)."""
+
+
 class SeriesTooShort(VekgError):
     """Change-point detection needs at least two samples."""
 

@@ -103,12 +103,18 @@ def _parse_object(raw: dict) -> ObjectNode:
     if raw_kp:
         if not isinstance(raw_kp, dict):
             raise SchemaViolation("keypoints must be an object of name -> [x, y]")
-        try:
-            keypoints = {str(k): (float(v[0]), float(v[1]))
-                         for k, v in raw_kp.items()}
-        except (TypeError, ValueError, IndexError, KeyError,
-                OverflowError) as exc:
-            raise SchemaViolation(f"bad keypoints: {exc}") from exc
+        keypoints = {}
+        for k, v in raw_kp.items():
+            # exact type tests, as for features: no bools, no strings
+            if not (type(v) is list and len(v) >= 2
+                    and type(v[0]) in (int, float)
+                    and type(v[1]) in (int, float)):
+                raise SchemaViolation(
+                    f"keypoint {k!r} must be an [x, y] list of numbers")
+            try:
+                keypoints[str(k)] = (float(v[0]), float(v[1]))
+            except OverflowError as exc:
+                raise SchemaViolation(f"bad keypoint {k!r}: {exc}") from exc
     features = None
     raw_features = raw.get("features")
     if raw_features:
@@ -119,11 +125,17 @@ def _parse_object(raw: dict) -> ObjectNode:
             features = tuple(float(v) for v in raw_features)
         except OverflowError as exc:
             raise SchemaViolation(f"bad features: {exc}") from exc
+    track = _require(raw, "track")
+    conf = _require(raw, "conf")
+    # exact type tests: JSON true/false parse to bool, a subclass of int
+    if type(track) is not int:
+        raise SchemaViolation(f"track must be an integer, got {track!r}")
+    if type(conf) not in (int, float):
+        raise SchemaViolation(f"conf must be a number, got {conf!r}")
     try:
-        track = int(_require(raw, "track"))
-        conf = float(_require(raw, "conf"))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaViolation(str(exc)) from exc
+        conf = float(conf)
+    except OverflowError as exc:
+        raise SchemaViolation(f"bad conf: {exc}") from exc
     attrs = raw.get("attrs", {})
     if not isinstance(attrs, dict):
         raise SchemaViolation("attrs must be an object")

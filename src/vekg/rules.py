@@ -354,6 +354,12 @@ def _velocity(positions: Sequence, i: int, max_back: int = 6):
     return None
 
 
+# the interned topology sets that hold OVERLAP: a frozenset caches its own
+# hash, so testing a slot against these hashes no Enum member
+_OVERLAP_TOPOLOGIES = frozenset(
+    s for s in geometry.TOPOLOGY_SETS if SpatialRelationClass.OVERLAP in s)
+
+
 def eval_ride(tag: VekgTag, mount_label: str,
               rule: EventRule) -> List[MatchNotification]:
     """Person overlapping and above a mount, both moving the same way."""
@@ -373,7 +379,7 @@ def eval_ride(tag: VekgTag, mount_label: str,
                 if topo[i] is X:
                     flags.append(None)
                     continue
-                if SpatialRelationClass.OVERLAP not in topo[i] \
+                if topo[i] not in _OVERLAP_TOPOLOGIES \
                         or direc[i] is not DirectionClass.ABOVE:
                     flags.append(False)
                     continue

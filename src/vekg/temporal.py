@@ -164,24 +164,33 @@ def pelt_changepoints(series: Sequence[float],
     if penalty < 0:
         raise ValueError("penalty must be >= 0")
 
-    cost = _l2_cost_factory(arr)
+    # the cumulative sums of _l2_cost_factory, indexed by all live
+    # candidates at once; each element takes the same IEEE steps as
+    # cost(s, t), so the result equals a one-candidate-at-a-time scan
+    cs = np.concatenate([[0.0], np.cumsum(arr)])
+    cs2 = np.concatenate([[0.0], np.cumsum(arr ** 2)])
     # f[t] = optimal cost of series[0:t] including penalty per changepoint
-    f = [0.0] + [math.inf] * n
+    f = np.full(n + 1, math.inf)
+    f[0] = 0.0
     prev = [0] * (n + 1)
-    candidates = [0]
+    candidates = np.zeros(1, dtype=np.intp)   # ascending
     for t in range(1, n + 1):
-        best, best_s = math.inf, 0
-        for s in candidates:
-            c = f[s] + cost(s, t) + (penalty if s > 0 else 0.0)
-            if c < best:
-                best, best_s = c, s
+        d = cs[t] - cs[candidates]
+        cost = (cs2[t] - cs2[candidates]) - d * d / (t - candidates)
+        # max(0.0, cost): clamp rounding error, and a NaN from inf - inf
+        cost = np.where(cost > 0.0, cost, 0.0)
+        fc = f[candidates] + cost
+        # the first segment (s == 0) pays no changepoint penalty
+        total = fc + np.where(candidates > 0, penalty, 0.0)
+        i = int(total.argmin())   # the first minimum: ties go to the lowest s
+        best = total[i]
         f[t] = best
-        prev[t] = best_s
+        # a scan from best = inf, best_s = 0 that takes only c < best keeps
+        # s = 0 when no total is finite (an inf or NaN penalty)
+        prev[t] = int(candidates[i]) if best < math.inf else 0
         # prune: a candidate s can never be optimal again if even without
         # its future penalty it already exceeds the current optimum
-        candidates = [s for s in candidates
-                      if f[s] + cost(s, t) <= best + penalty]
-        candidates.append(t)
+        candidates = np.append(candidates[fc <= best + penalty], t)
 
     cps = []
     t = n

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Tuple
 
-from .errors import NonPositiveLength
+from .errors import GraphOutsideWindow, NonPositiveLength
 from .graph import VekgGraph
 
 
@@ -25,7 +25,10 @@ class WindowState:
 
     def __post_init__(self):
         for g in self.graphs:
-            assert self.start <= g.timestamp < self.end
+            if not self.start <= g.timestamp < self.end:
+                raise GraphOutsideWindow(
+                    f"graph at {g.timestamp} ms outside window "
+                    f"[{self.start}, {self.end})")
 
 
 def time_window(graphs, length: int) -> Iterator[WindowState]:

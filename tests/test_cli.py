@@ -128,8 +128,26 @@ class TestValidate:
         '"bbox":[0,0,5,5],"attrs":[1]}]}',
         '{"frame":0,"ts_ms":0,"objects":[{"track":1,"label":"car","conf":0.5,'
         '"bbox":[0,0,5,5],"features":["x"]}]}',
+        '{"frame":0,"ts_ms":0,"objects":[{"track":1.7,"label":"car",'
+        '"conf":0.5,"bbox":[0,0,5,5]}]}',
+        '{"frame":0,"ts_ms":0,"objects":[{"track":true,"label":"car",'
+        '"conf":0.5,"bbox":[0,0,5,5]}]}',
+        '{"frame":0,"ts_ms":0,"objects":[{"track":"1","label":"car",'
+        '"conf":0.5,"bbox":[0,0,5,5]}]}',
+        '{"frame":0,"ts_ms":0,"objects":[{"track":1,"label":"car",'
+        '"conf":true,"bbox":[0,0,5,5]}]}',
+        '{"frame":0,"ts_ms":0,"objects":[{"track":1,"label":"car",'
+        '"conf":"0.5","bbox":[0,0,5,5]}]}',
+        '{"frame":0,"ts_ms":0,"objects":[{"track":1,"label":"person",'
+        '"conf":0.5,"bbox":[0,0,5,5],"keypoints":{"nose":"12"}}]}',
+        '{"frame":0,"ts_ms":0,"objects":[{"track":1,"label":"person",'
+        '"conf":0.5,"bbox":[0,0,5,5],"keypoints":{"nose":[1,"2"]}}]}',
+        '{"frame":0,"ts_ms":0,"objects":[{"track":1,"label":"person",'
+        '"conf":0.5,"bbox":[0,0,5,5],"keypoints":{"nose":[true,2]}}]}',
     ], ids=["frame-string", "ts-float", "object-int", "attrs-list",
-            "features-string"])
+            "features-string", "track-float", "track-bool", "track-string",
+            "conf-bool", "conf-string", "keypoint-string",
+            "keypoint-y-string", "keypoint-x-bool"])
     def test_malformed_record_is_input_error(self, tmp_path, record):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"format":"vekg-detections","version":1,'

@@ -26,6 +26,8 @@ from vekg.cli import EXIT_OK, main
 RULE_SCENARIOS = ["fall", "horse_ride", "bike_ride", "handshake", "punch",
                   "traffic", "parking", "jaywalk", "attribute"]
 NOISE = (2.0, 0.05, 7)   # jitter px, dropout, seed (as in acceptance 8)
+# more noisy falls: each seed jitters the aspect-ratio series PELT segments
+FALL_NOISE_SEEDS = (21, 22, 23)
 
 
 def _dense_scene() -> synth.Scenario:
@@ -92,6 +94,10 @@ def _cases():
     cases = [(sc.name, sc) for sc in synth.builtin_scenarios()]
     cases += [(f"{name}_noisy", synth.get_scenario(f"{name}_positive")
                .with_noise(*NOISE)) for name in RULE_SCENARIOS]
+    cases += [(f"{name}_noisy_{seed}", synth.get_scenario(name)
+               .with_noise(NOISE[0], NOISE[1], seed))
+              for seed in FALL_NOISE_SEEDS
+              for name in ("fall_positive", "fall_negative")]
     cases.append(("dense", _dense_scene()))
     return cases
 
@@ -151,6 +157,12 @@ DIGESTS = {
     'parking_noisy': ('28f422d3321aa5f777a8c3d015357d9be7e4ea25e1c998fae61a2e668e8bf2c6', 'b99ff2fe4c929a29341f6b1aa5b37277254957e28ab8654fb9c0924367f88b12'),
     'jaywalk_noisy': ('304927319e9442584a811dc3b93d3ee6d78f0e53373fd090641f0411bdb1a0da', '86822f043990dfb2c6455d9823ba6b414eccb2fa5b1aad3446b663f3debe6dd5'),
     'attribute_noisy': ('2cd8355c5084185af4cde5b1422c862440ecf2fe522abbb28c4cc58c25d02f53', 'be7b1d9f1bdccc5c75a6120ec970e25c09f8e4365c40da126c0c44ef72c53577'),
+    'fall_positive_noisy_21': ('58f44f6c9af9b83df0c7f919d068ba574f0fe512b7b7bc5daeb294a5aa84b728', '82ee373bf7714d66aba4eb4700f775e5a04fea1141ef36af6f3dd1513319c95c'),
+    'fall_negative_noisy_21': ('e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '7589aac2c12a15dbe528d06977a560627c629654ab32ca0acdd643e686f025dc'),
+    'fall_positive_noisy_22': ('4db9ced6d5083f717e6117f4f03313896e5ee76ef3eb4315aa554d242a7afa57', 'd9894f8149e20c3140203a8d11e1198e094abc08b6fd19464a390632758b8992'),
+    'fall_negative_noisy_22': ('e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '07f8fb6bf4f36c38af934b45122d72c22ec9fe8c540f1f1b83fc855fc699ccae'),
+    'fall_positive_noisy_23': ('a841c16e70722b2c1a325f65f47ebc2f25d138d44cb4a25e74e2bba462ef6461', 'f2f28962d52a24f2479d1b00af9da847d0a77df198a8a593fe61cd08749feb92'),
+    'fall_negative_noisy_23': ('e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '32ca684a215b3d0a8b86d20b9afae5d8fc42caefd6cca383b2159d441e612000'),
     'dense': ('7dd214451b1930664860a5d1d0554bb4141483fb9843e8485b4c5559ceaf3643', 'e794400a90e62f0c5dfe03f03e5ec9a037e615aa4649cfe007024e2439145ee7'),
 }
 

@@ -1,16 +1,19 @@
 """Interval algebra, trend, and change-point detection tests."""
 
 import itertools
+import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vekg.errors import SeriesTooShort
 from vekg.tag import X
-from vekg.temporal import (CONVERSE, AllenRelation, Interval, Trend, allen,
-                           default_penalty, no_motion_span, pelt_changepoints,
+from vekg.temporal import (CONVERSE, AllenRelation, Interval, Trend,
+                           _l2_cost_factory, allen, default_penalty,
+                           no_motion_span, pelt_changepoints,
                            segmentation_cost, trend)
 
 
@@ -177,6 +180,98 @@ class TestPelt:
         small = default_penalty([0, 0.1, 0, 0.1] * 4)
         big = default_penalty([0, 10, 0, 10] * 4)
         assert big > small > 0
+
+
+def scalar_pelt(series, penalty=None):
+    """The scalar PELT loop that scanned one candidate at a time.
+
+    Kept as the reference for the vectorised scan: the same recurrence,
+    tie-break (the first candidate in ascending order wins, by strict
+    ``<``) and pruning, so the two must return equal lists.
+    """
+    arr = np.asarray(series, dtype=float)
+    n = len(arr)
+    if penalty is None:
+        penalty = default_penalty(arr)
+    cost = _l2_cost_factory(arr)
+    f = [0.0] + [math.inf] * n
+    prev = [0] * (n + 1)
+    candidates = [0]
+    for t in range(1, n + 1):
+        best, best_s = math.inf, 0
+        for s in candidates:
+            c = f[s] + cost(s, t) + (penalty if s > 0 else 0.0)
+            if c < best:
+                best, best_s = c, s
+        f[t] = best
+        prev[t] = best_s
+        candidates = [s for s in candidates
+                      if f[s] + cost(s, t) <= best + penalty]
+        candidates.append(t)
+    cps = []
+    t = n
+    while t > 0:
+        s = prev[t]
+        if s > 0:
+            cps.append(s)
+        t = s
+    return sorted(cps)
+
+
+PENALTIES = [None, 0, 3, 2.5]   # the BIC default, zero, an int, a float
+
+
+class TestPeltMatchesScalarReference:
+    """Exact list equality with the scalar loop, not a cost tolerance."""
+
+    def check(self, series, penalties=PENALTIES):
+        for penalty in penalties:
+            got = pelt_changepoints(series, penalty)
+            assert got == scalar_pelt(series, penalty), (series, penalty)
+            assert type(got) is list
+            assert all(type(cp) is int for cp in got)
+
+    def test_seeded_random_series(self):
+        rng = random.Random(2026)
+        lengths = [2, 3, 4, 7, 16, 61, 150, 300, 400]
+        lengths += [rng.randint(2, 400) for _ in range(3)]
+        for n in lengths:
+            # piecewise levels plus noise, like an aspect-ratio series
+            series, level = [], rng.uniform(0.2, 3.0)
+            for _ in range(n):
+                if rng.random() < 0.02:
+                    level = rng.uniform(0.2, 3.0)
+                series.append(level + rng.gauss(0.0, 0.05))
+            self.check(series)
+            self.check([rng.uniform(-5, 5) for _ in range(n)], [1.5])
+
+    def test_integer_series_with_exact_ties(self):
+        # [0, 2] costs 2 unsplit and 0 + 0 + 2 split: the first wins
+        assert pelt_changepoints([0, 2], penalty=2) == []
+        self.check([0, 2], [2])
+        rng = random.Random(5)
+        for _ in range(40):
+            n = rng.randint(2, 60)
+            self.check([rng.choice([0, 1, 2]) for _ in range(n)],
+                       [None, 0, 1, 2, 3, 0.5])
+
+    def test_constant_step_and_alternating_series(self):
+        for n in (2, 3, 10, 101, 300):
+            self.check([3.0] * n)
+            self.check([0.0] * (n // 2) + [5.0] * (n - n // 2))
+            self.check([float(i % 2) for i in range(n)])
+
+    def test_non_finite_costs_and_penalties(self):
+        # an aspect ratio can overflow to inf, squares to inf (NaN costs,
+        # clamped to 0), and a direct caller may pass an infinite or NaN
+        # penalty
+        with np.errstate(all="ignore"):
+            self.check([1.0, 2.0, math.inf, 2.0, 1.0, 1.0],
+                       [0, 1.5, math.inf])
+            self.check([1e200, -1e200, 1e200, 3.0, 3.0, 4.0],
+                       [0, 2.5, math.inf])
+            self.check([1.0, 1.0, 5.0, 5.0, 1.0], [math.inf, math.nan])
+            self.check([1.0, math.inf, 2.0])
 
 
 class TestNoMotionSpan:

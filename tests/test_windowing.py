@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import frame, obj
-from vekg.errors import NonPositiveLength
+from vekg.errors import GraphOutsideWindow, NonPositiveLength
 from vekg.graph import build_frame_graph
-from vekg.windowing import time_window
+from vekg.windowing import WindowState, time_window
 
 
 def graphs_at(timestamps):
@@ -47,6 +47,14 @@ class TestTimeWindow:
         for w in time_window(graphs_at([0, 10, 999, 1000, 1001, 5000]), 1000):
             for g in w.graphs:
                 assert w.start <= g.timestamp < w.end
+
+    def test_graph_outside_bounds_rejected(self):
+        # a real exception, so the check holds under python -O too
+        before, inside, at_end = graphs_at([999, 1000, 2000])
+        assert WindowState(1000, 2000, (inside,)).graphs == (inside,)
+        for g in (before, at_end):
+            with pytest.raises(GraphOutsideWindow):
+                WindowState(start=1000, end=2000, graphs=(inside, g))
 
     @given(st.lists(st.integers(0, 50_000), min_size=1, max_size=40,
                     unique=True),
