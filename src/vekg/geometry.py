@@ -186,16 +186,6 @@ def overlap_ratio(a: BoundingBox, b: BoundingBox) -> float:
     return (iw * ih) / a.area
 
 
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection over union; convenience composition, used by no rule."""
-    iw = min(a.x2, b.x2) - max(a.x, b.x)
-    ih = min(a.y2, b.y2) - max(a.y, b.y)
-    if iw <= 0 or ih <= 0:
-        return 0.0
-    inter = iw * ih
-    return inter / (a.area + b.area - inter)
-
-
 # enum members bound once: attribute lookups on an Enum class are slow
 _ABOVE, _BELOW = DirectionClass.ABOVE, DirectionClass.BELOW
 _LEFT, _RIGHT = DirectionClass.LEFT, DirectionClass.RIGHT

@@ -8,8 +8,8 @@ are evaluated, for every ordered pair in one pass over the frame.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterator, Tuple
 
 from . import geometry
 from .errors import UnknownRelation
@@ -40,18 +40,7 @@ class VekgGraph:
     nodes: Tuple[ObjectNode, ...]
     edges: Dict[Tuple[int, int], Dict[str, object]]
     relation_classes: FrozenSet[str]
-    frame: Optional[FrameDetections] = None
     build_ms: float = 0.0
-
-    @property
-    def node_properties(self) -> Dict[int, Dict[str, str]]:
-        return {o.track_id: o.attributes for o in self.nodes}
-
-    def node(self, track_id: int) -> ObjectNode:
-        for o in self.nodes:
-            if o.track_id == track_id:
-                return o
-        raise KeyError(track_id)
 
     def dump(self) -> str:
         """Line-based adjacency listing for debugging."""
@@ -136,8 +125,7 @@ def build_frame_graph(frame: FrameDetections,
                  if a.track_id != b.track_id}
     build_ms = (time.perf_counter() - t0) * 1000.0
     return VekgGraph(timestamp=frame.timestamp, nodes=tuple(objects),
-                     edges=edges, relation_classes=required, frame=frame,
-                     build_ms=build_ms)
+                     edges=edges, relation_classes=required, build_ms=build_ms)
 
 
 def stream_graphs(frames, required_relations) -> Iterator[VekgGraph]:

@@ -19,21 +19,13 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from .errors import MalformedRecord, NonMonotonicTime, SchemaViolation, SourceUnavailable
 from .geometry import BoundingBox
 
 STREAM_FORMAT = "vekg-detections"
 STREAM_VERSION = 1
-
-COCO_KEYPOINT_NAMES = (
-    "nose", "left_eye", "right_eye", "left_ear", "right_ear",
-    "left_shoulder", "right_shoulder", "left_elbow", "right_elbow",
-    "left_wrist", "right_wrist", "left_hip", "right_hip",
-    "left_knee", "right_knee", "left_ankle", "right_ankle",
-)
-
 
 @dataclass(frozen=True)
 class ObjectNode:
@@ -45,7 +37,6 @@ class ObjectNode:
     bbox: BoundingBox
     attributes: Dict[str, str] = field(default_factory=dict)
     keypoints: Optional[Dict[str, Tuple[float, float]]] = None
-    features: Optional[Tuple[float, ...]] = None
 
     def __post_init__(self):
         if not 0.0 <= self.confidence <= 1.0:
@@ -94,9 +85,14 @@ def _parse_object(raw: dict) -> ObjectNode:
     bbox = _require(raw, "bbox")
     if not (isinstance(bbox, list) and len(bbox) == 4):
         raise SchemaViolation("bbox must be a [x, y, w, h] list")
+    x, y, w, h = bbox
+    # exact type tests: JSON true/false parse to bool, a subclass of int
+    if (type(x) not in (int, float) or type(y) not in (int, float)
+            or type(w) not in (int, float) or type(h) not in (int, float)):
+        raise SchemaViolation(f"bbox must be four numbers, got {bbox!r}")
     try:
-        box = BoundingBox(*[float(v) for v in bbox])
-    except (TypeError, ValueError, OverflowError) as exc:
+        box = BoundingBox(float(x), float(y), float(w), float(h))
+    except (ValueError, OverflowError) as exc:
         raise SchemaViolation(str(exc)) from exc
     keypoints = None
     raw_kp = raw.get("keypoints")
@@ -115,16 +111,11 @@ def _parse_object(raw: dict) -> ObjectNode:
                 keypoints[str(k)] = (float(v[0]), float(v[1]))
             except OverflowError as exc:
                 raise SchemaViolation(f"bad keypoint {k!r}: {exc}") from exc
-    features = None
+    # checked, then ignored: no rule reads appearance features
     raw_features = raw.get("features")
-    if raw_features:
-        if not (isinstance(raw_features, list)
-                and all(type(v) in (int, float) for v in raw_features)):
-            raise SchemaViolation("features must be a list of numbers")
-        try:
-            features = tuple(float(v) for v in raw_features)
-        except OverflowError as exc:
-            raise SchemaViolation(f"bad features: {exc}") from exc
+    if raw_features and not (isinstance(raw_features, list)
+                             and all(type(v) in (int, float) for v in raw_features)):
+        raise SchemaViolation("features must be a list of numbers")
     track = _require(raw, "track")
     conf = _require(raw, "conf")
     # exact type tests: JSON true/false parse to bool, a subclass of int
@@ -146,7 +137,6 @@ def _parse_object(raw: dict) -> ObjectNode:
         bbox=box,
         attributes={str(k): str(v) for k, v in attrs.items()},
         keypoints=keypoints,
-        features=features,
     )
 
 
@@ -202,8 +192,6 @@ def serialize_frame(frame: FrameDetections) -> str:
             d["attrs"] = o.attributes
         if o.keypoints:
             d["keypoints"] = {k: [v[0], v[1]] for k, v in o.keypoints.items()}
-        if o.features:
-            d["features"] = list(o.features)
         objs.append(d)
     return json.dumps({"frame": frame.frame_index, "ts_ms": frame.timestamp,
                        "objects": objs}, separators=(",", ":"))

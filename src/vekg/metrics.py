@@ -2,15 +2,11 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
-from .graph import build_frame_graph
-from .rules import Matcher, MatchNotification, RuleSet
-from .tag import ReductionReport, aggregate, reduction_report
+from .rules import MatchNotification
 from .temporal import Interval
-from .windowing import WindowState
 
 
 @dataclass(frozen=True)
@@ -103,35 +99,3 @@ def score(notifications: Sequence[MatchNotification],
 def from_counts(tp: int, fp: int, fn: int) -> AccuracyReport:
     """Precision/recall/F directly from counts."""
     return _scores(tp, fp, fn)
-
-
-def time_window_run(window: WindowState, ruleset: RuleSet,
-                    matcher: Optional[Matcher] = None):
-    """Run and time the three pipeline stages for one window.
-
-    VEKG construction is re-timed by rebuilding each frame graph from
-    its source frame, so the report reflects this window regardless of
-    where the graphs were originally built.
-
-    Returns (notifications, LatencyReport, ReductionReport).
-    """
-    required = ruleset.required_relations()
-
-    t0 = time.perf_counter()
-    graphs = tuple(build_frame_graph(g.frame, required) for g in window.graphs
-                   if g.frame is not None)
-    t1 = time.perf_counter()
-    rebuilt = WindowState(start=window.start, end=window.end, graphs=graphs)
-    t2 = time.perf_counter()
-    window_tag = aggregate(rebuilt, required)
-    t3 = time.perf_counter()
-    if matcher is None:
-        matcher = Matcher(ruleset)
-    notifications = matcher.match(window_tag)
-    t4 = time.perf_counter()
-
-    latency = LatencyReport(
-        vekg_construction_ms=(t1 - t0) * 1000.0,
-        tag_construction_ms=(t3 - t2) * 1000.0,
-        tag_search_ms=(t4 - t3) * 1000.0)
-    return notifications, latency, reduction_report(rebuilt, window_tag)

@@ -11,9 +11,10 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from . import geometry, tag as tagmod, temporal
+from . import geometry
 from .errors import InvalidRuleConfig
 from .geometry import BoundingBox, Region, SpatialRelationClass, DirectionClass
 from .tag import POSITION, VekgTag, X, edge_series, motion_series
@@ -32,9 +33,6 @@ class RuleKind(Enum):
     PARKING_SLOT_STATUS = "parking_slot_status"
     JAYWALKING = "jaywalking"
     ATTRIBUTE_QUERY = "attribute_query"
-
-
-STATELESS_KINDS = {RuleKind.ATTRIBUTE_QUERY}
 
 
 @dataclass(frozen=True)
@@ -323,20 +321,6 @@ def _merge_spans(spans, max_gap: int):
         else:
             merged.append(s)
     return merged
-
-
-def _present_runs(series: Sequence):
-    """Contiguous [start, end) runs of non-X slots."""
-    start = None
-    for i, v in enumerate(series):
-        if v is X:
-            if start is not None:
-                yield (start, i)
-                start = None
-        elif start is None:
-            start = i
-    if start is not None:
-        yield (start, len(series))
 
 
 def _velocity(positions: Sequence, i: int, max_back: int = 6):
@@ -708,11 +692,22 @@ def eval_attribute(tag: VekgTag, rule: EventRule,
 
 _EVALUATORS = {
     RuleKind.FALL_DETECTION: eval_fall,
+    RuleKind.HORSE_RIDE: eval_ride,
+    RuleKind.BIKE_RIDE: eval_ride,
     RuleKind.HANDSHAKE: eval_handshake,
     RuleKind.PUNCH: eval_punch,
     RuleKind.HIGH_VOLUME_TRAFFIC: eval_traffic,
     RuleKind.PARKING_SLOT_STATUS: eval_parking,
     RuleKind.JAYWALKING: eval_jaywalk,
+    RuleKind.ATTRIBUTE_QUERY: eval_attribute,
+}
+
+# the arguments a kind's evaluator takes beyond (tag, rule), made once per
+# rule and Matcher: a ride's mount label, an attribute query's seen-set
+_BOUND_ARGS = {
+    RuleKind.HORSE_RIDE: lambda: {"mount_label": "horse"},
+    RuleKind.BIKE_RIDE: lambda: {"mount_label": "bike"},
+    RuleKind.ATTRIBUTE_QUERY: lambda: {"seen_tracks": set()},
 }
 
 
@@ -720,30 +715,14 @@ class Matcher:
     """Applies a RuleSet window by window, in deterministic order."""
 
     def __init__(self, ruleset: RuleSet):
-        self.ruleset = ruleset
-        self._attr_seen: Dict[str, Set[int]] = {
-            r.rule_id: set() for r in ruleset.rules
-            if r.kind is RuleKind.ATTRIBUTE_QUERY}
+        self._searches = [
+            partial(_EVALUATORS[r.kind], rule=r, **_BOUND_ARGS.get(r.kind, dict)())
+            for r in ruleset.rules]
 
     def match(self, tag: VekgTag) -> List[MatchNotification]:
         notifications: List[MatchNotification] = []
-        for rule in self.ruleset.rules:
-            if rule.kind is RuleKind.ATTRIBUTE_QUERY:
-                notifications += eval_attribute(tag, rule,
-                                                self._attr_seen[rule.rule_id])
-            elif rule.kind is RuleKind.HORSE_RIDE:
-                notifications += eval_ride(tag, "horse", rule)
-            elif rule.kind is RuleKind.BIKE_RIDE:
-                notifications += eval_ride(tag, "bike", rule)
-            else:
-                notifications += _EVALUATORS[rule.kind](tag, rule)
+        for search in self._searches:
+            notifications += search(tag)
         notifications.sort(key=lambda n: (n.interval.start, n.rule_id,
                                           n.interval.end, n.participants))
         return notifications
-
-
-def run_matcher(tags, ruleset: RuleSet):
-    """Yield (tag, notifications) per window over an iterable of tags."""
-    matcher = Matcher(ruleset)
-    for t in tags:
-        yield t, matcher.match(t)

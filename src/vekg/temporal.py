@@ -136,13 +136,22 @@ def default_penalty(series: Sequence[float]) -> float:
     The variance estimate is floored relative to the data magnitude so a
     (near-)constant series never yields a penalty below floating-point
     noise, which would let epsilon cost savings buy spurious splits.
+    Magnitudes past about 1e154 overflow the floor to inf, and inf or
+    NaN samples make the variance NaN; either way the penalty is inf,
+    so no split is taken.
     """
     arr = np.asarray(series, dtype=float)
     n = len(arr)
     if n <= 1:
         return 0.0
     scale = float(np.abs(arr).max()) or 1.0
-    var = max(float(arr.var()), (1e-5 * scale) ** 2)
+    try:
+        floor = (1e-5 * scale) ** 2
+    except OverflowError:
+        floor = math.inf
+    var = max(float(arr.var()), floor)
+    if math.isnan(var):
+        return math.inf
     return 2.0 * var * math.log(n)
 
 

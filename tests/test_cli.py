@@ -144,10 +144,15 @@ class TestValidate:
         '"conf":0.5,"bbox":[0,0,5,5],"keypoints":{"nose":[1,"2"]}}]}',
         '{"frame":0,"ts_ms":0,"objects":[{"track":1,"label":"person",'
         '"conf":0.5,"bbox":[0,0,5,5],"keypoints":{"nose":[true,2]}}]}',
+        '{"frame":0,"ts_ms":0,"objects":[{"track":1,"label":"car",'
+        '"conf":0.5,"bbox":[0,0,"5",5]}]}',
+        '{"frame":0,"ts_ms":0,"objects":[{"track":1,"label":"car",'
+        '"conf":0.5,"bbox":[0,true,5,5]}]}',
     ], ids=["frame-string", "ts-float", "object-int", "attrs-list",
             "features-string", "track-float", "track-bool", "track-string",
             "conf-bool", "conf-string", "keypoint-string",
-            "keypoint-y-string", "keypoint-x-bool"])
+            "keypoint-y-string", "keypoint-x-bool", "bbox-string",
+            "bbox-bool"])
     def test_malformed_record_is_input_error(self, tmp_path, record):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"format":"vekg-detections","version":1,'
@@ -212,6 +217,23 @@ class TestRuleParams:
     def test_bad_rule_config_exits_2(self, tmp_path, rule):
         rc, _ = self.run_with(tmp_path, [(1, "person", [10, 10, 40, 90])], rule)
         assert rc == EXIT_INPUT
+
+
+def test_extreme_aspect_ratio_is_not_an_internal_error(tmp_path):
+    # a finite box whose aspect ratio (1e210) overflows a squared floor
+    stream = tmp_path / "s.jsonl"
+    lines = ['{"format":"vekg-detections","version":1,"resolution":[640,480]}']
+    for i in range(20):
+        bbox = [100, 100, 40, 100] if i < 10 else [100, 100, 1e200, 1e-10]
+        lines.append(json.dumps({"frame": i, "ts_ms": 33 * i, "objects": [
+            {"track": 1, "label": "person", "conf": 0.9, "bbox": bbox}]}))
+    stream.write_text("\n".join(lines) + "\n")
+    rules = tmp_path / "r.yaml"
+    rules.write_text(yaml.safe_dump({"rules": [
+        {"id": "f", "kind": "fall_detection", "window_ms": 10_000}]}))
+    rc = main(["--quiet", "run", "--input", str(stream), "--rules", str(rules),
+               "--out", str(tmp_path / "o.jsonl")])
+    assert rc in (EXIT_OK, EXIT_INPUT)
 
 
 class TestBench:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from vekg.errors import CoincidentCentroids, InvalidRegion, ZeroLengthSegment
 from vekg.geometry import (BoundingBox, DirectionClass, Region,
                            SpatialRelationClass as S, centroid_distance,
-                           direction, inside_region, iou, overlap_ratio,
+                           direction, inside_region, overlap_ratio,
                            point_distance, segment_angle, topology)
 
 
@@ -132,11 +132,6 @@ class TestMetricOps:
     def test_overlap_ratio_disjoint(self):
         assert overlap_ratio(BoundingBox(0, 0, 4, 4),
                              BoundingBox(100, 100, 4, 4)) == 0.0
-
-    def test_iou_identity_and_disjoint(self):
-        a = BoundingBox(0, 0, 10, 10)
-        assert iou(a, a) == 1.0
-        assert iou(a, BoundingBox(50, 50, 3, 3)) == 0.0
 
     def test_centroid_distance_345(self):
         a = BoundingBox(-1, -1, 2, 2)     # centroid (0, 0)

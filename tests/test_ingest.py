@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from vekg.errors import (MalformedRecord, NonMonotonicTime, SchemaViolation,
                          SourceUnavailable, VekgError)
-from vekg.ingest import (COCO_KEYPOINT_NAMES, StreamHeader, open_stream,
-                         parse_frame, parse_header, serialize_frame,
-                         serialize_header, write_stream)
+from vekg.ingest import (StreamHeader, open_stream, parse_frame, parse_header,
+                         serialize_frame, serialize_header, write_stream)
 
 HEADER = '{"format":"vekg-detections","version":1,"resolution":[1920,1080]}'
 
@@ -135,11 +134,6 @@ class TestOpenStream:
         reader = open_stream(str(p))
         assert list(reader) == frames
         assert reader.header.resolution == (1920, 1080)
-
-
-def test_coco_names_complete():
-    assert len(COCO_KEYPOINT_NAMES) == 17
-    assert "right_wrist" in COCO_KEYPOINT_NAMES
 
 
 # arbitrary JSON values, and records shaped like frames and objects whose

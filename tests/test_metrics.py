@@ -4,10 +4,9 @@ import random
 
 import pytest
 
-from conftest import frame, obj, window_of
 from vekg.metrics import (AccuracyReport, GroundTruthEvent, LatencyReport,
-                          from_counts, score, temporal_iou, time_window_run)
-from vekg.rules import MatchNotification, RuleKind, register_rules
+                          from_counts, score, temporal_iou)
+from vekg.rules import MatchNotification, RuleKind
 from vekg.temporal import Interval
 
 
@@ -112,19 +111,3 @@ class TestLatency:
                             tag_search_ms=0.75)
         assert rep.total_ms == 4.5
         assert rep.as_dict()["total_ms"] == 4.5
-
-    def test_time_window_run(self):
-        frames = [frame(i, i * 33, [obj(1, "car", (10 * i, 0, 20, 10)),
-                                    obj(2, "car", (300, 300, 20, 10))])
-                  for i in range(30)]
-        win = window_of(frames, set(), start=0, end=1000)
-        rs = register_rules([{"id": "q", "kind": "attribute_query",
-                              "window_ms": 1000,
-                              "params": {"attribute": "color", "value": "red"}}])
-        notes, latency, reduction = time_window_run(win, rs)
-        assert notes == []
-        assert latency.total_ms == (latency.vekg_construction_ms
-                                    + latency.tag_construction_ms
-                                    + latency.tag_search_ms)
-        assert latency.total_ms >= 0
-        assert reduction.vekg_nodes == 60 and reduction.tag_nodes == 2

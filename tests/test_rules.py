@@ -6,7 +6,7 @@ from conftest import frame, obj, window_of
 from vekg.errors import InvalidRuleConfig
 from vekg.rules import (Matcher, RuleKind, _two_phase, eval_attribute,
                         eval_fall, eval_jaywalk, eval_parking, eval_ride,
-                        eval_traffic, register_rules, run_matcher)
+                        eval_traffic, register_rules)
 from vekg.tag import X, aggregate
 from vekg.windowing import time_window
 from vekg.graph import stream_graphs
@@ -175,11 +175,10 @@ class TestHandshakePunchScenarios:
         rs = register_rules([dict(r) for r in sc.rule_configs])
         graphs = stream_graphs(synth.generate_frames(sc),
                                rs.required_relations())
+        matcher = Matcher(rs)
         out = []
-        for _, notes in run_matcher(
-                (aggregate(w, rs.required_relations())
-                 for w in time_window(graphs, rs.window_ms())), rs):
-            out += notes
+        for w in time_window(graphs, rs.window_ms()):
+            out += matcher.match(aggregate(w, rs.required_relations()))
         return out
 
     def test_handshake_positive(self):
@@ -352,6 +351,26 @@ class TestMatcherProperties:
         pairs, _ = self._run("jaywalk_positive")
         matcher = Matcher(register_rules([]))
         assert all(matcher.match(t) == [] for _, t in pairs)
+
+    def test_attribute_seen_sets_per_rule_across_windows(self):
+        red = {"attribute": "color", "value": "red"}
+        rs = register_rules([
+            {"id": "a", "kind": "attribute_query", "params": red},
+            {"id": "b", "kind": "attribute_query", "params": red}])
+        frames = [frame(i, i * 33, [obj(1, "car", (0, 0, 9, 9),
+                                        attrs={"color": "red"})])
+                  for i in range(10)]
+        matcher = Matcher(rs)
+        notes = (matcher.match(tag_of(frames[:5]))
+                 + matcher.match(tag_of(frames[5:])))
+        assert sorted(n.rule_id for n in notes) == ["a", "b"]
+
+    def test_ride_rules_bind_their_own_mount(self):
+        rs = register_rules([{"id": "h", "kind": "horse_ride"},
+                             {"id": "b", "kind": "bike_ride"}])
+        tag = tag_of(ride_frames(mount="bike"), rs.required_relations())
+        notes = Matcher(rs).match(tag)
+        assert [(n.rule_id, n.kind) for n in notes] == [("b", RuleKind.BIKE_RIDE)]
 
 
 class TestScaleInvariance:

@@ -181,6 +181,20 @@ class TestPelt:
         big = default_penalty([0, 10, 0, 10] * 4)
         assert big > small > 0
 
+    @pytest.mark.parametrize("series", [
+        [0.4] * 10 + [1e210] * 10,
+        [1e200, -1e200, 1e200],
+        [1.7e308] * 4,
+        [1.0, math.inf, 2.0],
+        [-math.inf, 0.0],
+        [math.inf, -math.inf],
+        [1.0, math.nan, 2.0],
+    ])
+    def test_default_penalty_never_raises_or_gives_nan(self, series):
+        penalty = default_penalty(series)
+        assert not math.isnan(penalty)
+        assert penalty >= 0
+
 
 def scalar_pelt(series, penalty=None):
     """The scalar PELT loop that scanned one candidate at a time.
