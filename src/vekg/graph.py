@@ -2,7 +2,9 @@
 
 Each frame becomes a graph with one node per object and n(n-1)
 directed edges.  Only the relations required by the registered rules
-are evaluated, for every ordered pair in one pass over the frame.
+are evaluated, for every ordered pair in one pass over the frame; an
+edge is stored only when it carries a value, so with no required
+relation ``edges`` is empty and the n(n-1) edges are counted, not kept.
 """
 
 from __future__ import annotations
@@ -44,24 +46,28 @@ class VekgGraph:
 
     def dump(self) -> str:
         """Line-based adjacency listing for debugging."""
-        lines = [f"graph ts={self.timestamp} nodes={len(self.nodes)} "
-                 f"edges={len(self.edges)}"]
-        for o in sorted(self.nodes, key=lambda n: n.track_id):
+        n = len(self.nodes)
+        lines = [f"graph ts={self.timestamp} nodes={n} edges={n * (n - 1)}"]
+        for o in sorted(self.nodes, key=lambda o: o.track_id):
             lines.append(f"node {o.track_id} {o.label} conf={o.confidence:g} "
                          f"bbox={o.bbox.x:g},{o.bbox.y:g},{o.bbox.w:g},{o.bbox.h:g}")
         for (u, v) in sorted(self.edges):
-            vals = " ".join(f"{r}={_fmt(val)}" for r, val in sorted(self.edges[(u, v)].items()))
+            vals = " ".join(f"{r}={format_value(val)}"
+                            for r, val in sorted(self.edges[(u, v)].items()))
             lines.append(f"edge {u}->{v} {vals}")
         return "\n".join(lines)
 
 
-def _fmt(val) -> str:
+def format_value(val) -> str:
+    """A relation value or a position as the dumps print it."""
     if isinstance(val, frozenset):
         return "{" + ",".join(sorted(c.value for c in val)) + "}"
     if hasattr(val, "value"):
         return str(val.value)
     if isinstance(val, float):
         return f"{val:.3f}"
+    if hasattr(val, "x"):
+        return f"{val.x:g},{val.y:g},{val.w:g},{val.h:g}"
     return str(val)
 
 
@@ -117,14 +123,9 @@ def build_frame_graph(frame: FrameDetections,
     if unknown:
         raise UnknownRelation(f"unknown relation(s): {sorted(unknown)}")
     t0 = time.perf_counter()
-    objects = frame.objects
-    if required:
-        edges = _pair_relations(objects, required)
-    else:
-        edges = {(a.track_id, b.track_id): {} for a in objects for b in objects
-                 if a.track_id != b.track_id}
+    edges = _pair_relations(frame.objects, required) if required else {}
     build_ms = (time.perf_counter() - t0) * 1000.0
-    return VekgGraph(timestamp=frame.timestamp, nodes=tuple(objects),
+    return VekgGraph(timestamp=frame.timestamp, nodes=tuple(frame.objects),
                      edges=edges, relation_classes=required, build_ms=build_ms)
 
 

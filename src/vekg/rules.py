@@ -408,7 +408,7 @@ def _arm_angle(obj, side: str):
 
 
 def _keypoint_series(tag: VekgTag, track: int, name: str) -> list:
-    frames = tag.node_frames[track]
+    frames = tag.nodes[track].frames
     out = []
     for obj in frames:
         if obj is None or not obj.keypoints or name not in obj.keypoints:
@@ -420,7 +420,7 @@ def _keypoint_series(tag: VekgTag, track: int, name: str) -> list:
 
 def _angle_series(tag: VekgTag, track: int, side: str) -> list:
     out = []
-    for obj in tag.node_frames[track]:
+    for obj in tag.nodes[track].frames:
         if obj is None:
             out.append(X)
             continue
@@ -433,7 +433,7 @@ def _has_side_keypoints(tag: VekgTag, track: int, side: str) -> bool:
     names = _SIDE_KEYS[side]
     return any(obj is not None and obj.keypoints
                and all(n in obj.keypoints for n in names)
-               for obj in tag.node_frames[track])
+               for obj in tag.nodes[track].frames)
 
 
 def _sides_with_keypoints(tag: VekgTag, tracks: Sequence[int]) -> Dict[int, Set[str]]:
@@ -573,7 +573,7 @@ def eval_traffic(tag: VekgTag, rule: EventRule) -> List[MatchNotification]:
     total = 0
     seen: Set[int] = set()
     for track in tracks:
-        for obj in tag.node_frames[track]:
+        for obj in tag.nodes[track].frames:
             if obj is not None and geometry.inside_region(obj.bbox, region):
                 total += 1
                 seen.add(track)
@@ -602,7 +602,7 @@ def eval_parking(tag: VekgTag, rule: EventRule) -> List[MatchNotification]:
         for i in range(nframes):
             best = None
             for track in tracks:
-                obj = tag.node_frames[track][i]
+                obj = tag.nodes[track].frames[i]
                 if obj is None:
                     continue
                 ratio = geometry.overlap_ratio(slot, obj.bbox)
@@ -612,7 +612,7 @@ def eval_parking(tag: VekgTag, rule: EventRule) -> List[MatchNotification]:
                 cur = best[0]
                 flags.append(True)
                 occupant.append(best[0])
-            elif cur is not None and tag.node_frames[cur][i] is None:
+            elif cur is not None and tag.nodes[cur].frames[i] is None:
                 # previous occupant dropped out of this frame: unknown
                 flags.append(None)
                 occupant.append(None)
@@ -640,7 +640,7 @@ def eval_jaywalk(tag: VekgTag, rule: EventRule) -> List[MatchNotification]:
     out = []
     for track in _tracks_with_label(tag, rule.object_labels):
         flags: List[Optional[bool]] = []
-        for obj in tag.node_frames[track]:
+        for obj in tag.nodes[track].frames:
             if obj is None:
                 flags.append(None)
             else:
@@ -668,7 +668,7 @@ def eval_attribute(tag: VekgTag, rule: EventRule,
     for track in _tracks_with_label(tag, rule.object_labels):
         if seen_tracks is not None and track in seen_tracks:
             continue
-        frames = tag.node_frames[track]
+        frames = tag.nodes[track].frames
         first = None
         last = None
         for i, obj in enumerate(frames):

@@ -1,21 +1,24 @@
 """Time-aggregated graph over one window of the graph stream.
 
 The window's per-frame graphs collapse into a single complete directed
-graph whose nodes are the distinct tracks seen in the window.  Every
-ordered pair edge carries, per relation, a series of length |T| with a
-don't-care marker (X) wherever an endpoint object is absent; every
-node additionally has a self-loop edge storing its per-frame position.
-Memory is O(n^2 * T): per-edge contiguous series plus one shared
-presence bitmap per node.
+graph whose nodes are the distinct tracks seen in the window.  Each node
+keeps its object at every window frame (None where absent) and has a
+self-loop edge storing its per-frame position.  For each required
+relation, every ordered pair edge carries a series of length |T| with a
+don't-care marker (X) wherever an endpoint object is absent.  With no
+required relation no pair edge is stored: the graph still has n^2
+edges, counted from its nodes.  Memory is O(n * T) for the nodes plus
+O(n^2 * T) per required relation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .errors import RelationVocabularyMismatch, UnknownNode, UnknownRelation
 from .geometry import point_distance
+from .graph import format_value
 from .ingest import ObjectNode
 from .windowing import WindowState
 
@@ -44,7 +47,14 @@ class TagNode:
     track_id: int
     label: str
     attributes: Dict[str, str]
-    present: List[bool]   # shared presence bitmap, one slot per window frame
+    # the track's object at each window frame, None where absent; the
+    # position self-loop, keypoints and attribute history are read from here
+    frames: List[Optional[ObjectNode]]
+
+    @property
+    def present(self) -> List[bool]:
+        """Whether the track is present, per window frame."""
+        return [o is not None for o in self.frames]
 
 
 @dataclass
@@ -55,12 +65,9 @@ class VekgTag:
     end: int
     timestamps: Tuple[int, ...]
     nodes: Dict[int, TagNode]
-    # (u, v) with u != v -> {relation -> series}; (u, u) -> {"position" -> series}
+    # (u, u) -> {"position" -> series}; (u, v) -> {relation -> series}
     edges: Dict[Tuple[int, int], Dict[str, list]]
     relation_classes: frozenset
-    # per-node per-frame object refs (None where absent); keypoints and
-    # attribute history are read from here
-    node_frames: Dict[int, List[Optional[ObjectNode]]] = field(default_factory=dict)
 
     @property
     def frame_count(self) -> int:
@@ -68,7 +75,7 @@ class VekgTag:
 
     def dump(self) -> str:
         lines = [f"tag [{self.start},{self.end}) frames={self.frame_count} "
-                 f"nodes={len(self.nodes)} edges={len(self.edges)}"]
+                 f"nodes={len(self.nodes)} edges={len(self.nodes) ** 2}"]
         for tid in sorted(self.nodes):
             n = self.nodes[tid]
             lines.append(f"node {tid} {n.label} present="
@@ -76,22 +83,9 @@ class VekgTag:
         for (u, v) in sorted(self.edges):
             for rel in sorted(self.edges[(u, v)]):
                 series = self.edges[(u, v)][rel]
-                lines.append(f"edge {u}->{v} {rel} " + " ".join(_fmt(s) for s in series))
+                lines.append(f"edge {u}->{v} {rel} " + " ".join(
+                    "X" if s is X else format_value(s) for s in series))
         return "\n".join(lines)
-
-
-def _fmt(val) -> str:
-    if val is X:
-        return "X"
-    if isinstance(val, frozenset):
-        return "{" + ",".join(sorted(c.value for c in val)) + "}"
-    if hasattr(val, "value"):
-        return str(val.value)
-    if isinstance(val, float):
-        return f"{val:.3f}"
-    if hasattr(val, "x"):
-        return f"{val.x:g},{val.y:g},{val.w:g},{val.h:g}"
-    return str(val)
 
 
 def aggregate(window: WindowState, required_relations=()) -> VekgTag:
@@ -108,31 +102,29 @@ def aggregate(window: WindowState, required_relations=()) -> VekgTag:
 
     # node union (order-independent: keyed by track id)
     nodes: Dict[int, TagNode] = {}
-    node_frames: Dict[int, List[Optional[ObjectNode]]] = {}
     for i, g in enumerate(window.graphs):
         for obj in g.nodes:
             tid = obj.track_id
             if tid not in nodes:
                 nodes[tid] = TagNode(track_id=tid, label=obj.label,
                                      attributes=dict(obj.attributes),
-                                     present=[False] * nframes)
-                node_frames[tid] = [None] * nframes
+                                     frames=[None] * nframes)
             node = nodes[tid]
-            node.present[i] = True
+            node.frames[i] = obj
             node.label = obj.label
             node.attributes = dict(obj.attributes)   # last-seen wins
-            node_frames[tid][i] = obj
 
-    edges: Dict[Tuple[int, int], Dict[str, list]] = {}
     tids = sorted(nodes)
-    for u in tids:
-        # self-loop: per-frame position series
-        edges[(u, u)] = {POSITION: [o.bbox if o is not None else X
-                                    for o in node_frames[u]]}
-        for v in tids:
-            if u != v:
-                edges[(u, v)] = {rel: [X] * nframes for rel in required}
+    # self-loop: per-frame position series
+    edges: Dict[Tuple[int, int], Dict[str, list]] = {
+        (u, u): {POSITION: [o.bbox if o is not None else X
+                            for o in nodes[u].frames]}
+        for u in tids}
     if required:
+        for u in tids:
+            for v in tids:
+                if u != v:
+                    edges[(u, v)] = {rel: [X] * nframes for rel in required}
         for i, g in enumerate(window.graphs):
             for pair, values in g.edges.items():
                 series = edges[pair]
@@ -140,23 +132,25 @@ def aggregate(window: WindowState, required_relations=()) -> VekgTag:
                     series[rel][i] = values[rel]
 
     return VekgTag(start=window.start, end=window.end, timestamps=timestamps,
-                   nodes=nodes, edges=edges, relation_classes=required,
-                   node_frames=node_frames)
+                   nodes=nodes, edges=edges, relation_classes=required)
 
 
 def edge_series(tag: VekgTag, u: int, v: int, relation: str) -> list:
     """Constant-time fetch of a full edge series.
 
     ``u == v`` with the "position" relation returns the self-loop series.
+    A relation not stored on the edge raises UnknownRelation; a TAG
+    aggregated with no required relation stores no pair edge at all.
     """
     if u not in tag.nodes:
         raise UnknownNode(f"track {u} not in tag")
     if v not in tag.nodes:
         raise UnknownNode(f"track {v} not in tag")
-    series = tag.edges[(u, v)]
-    if relation not in series:
-        raise UnknownRelation(f"relation {relation!r} not materialized on edge ({u},{v})")
-    return series[relation]
+    try:
+        return tag.edges[(u, v)][relation]
+    except KeyError:
+        raise UnknownRelation(
+            f"relation {relation!r} not materialized on edge ({u},{v})") from None
 
 
 def motion_series(tag: VekgTag, u: int) -> list:
@@ -209,7 +203,7 @@ def reduction_report(window: WindowState, tag: VekgTag) -> ReductionReport:
     vekg_nodes = sum(len(g.nodes) for g in window.graphs)
     vekg_edges = sum(len(g.nodes) * (len(g.nodes) - 1) for g in window.graphs)
     tag_nodes = len(tag.nodes)
-    tag_edges = len(tag.edges)
+    tag_edges = tag_nodes ** 2
     rin = (vekg_nodes - tag_nodes) / vekg_nodes if vekg_nodes > 0 else 0.0
     rie = (vekg_edges - tag_edges) / vekg_edges if vekg_edges > 0 else 0.0
     return ReductionReport(vekg_nodes=vekg_nodes, tag_nodes=tag_nodes,

@@ -130,6 +130,7 @@ def _l2_cost_factory(series: np.ndarray):
     return cost
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def default_penalty(series: Sequence[float]) -> float:
     """BIC-style default: 2 * var(series) * ln(n).
 
@@ -138,7 +139,7 @@ def default_penalty(series: Sequence[float]) -> float:
     noise, which would let epsilon cost savings buy spurious splits.
     Magnitudes past about 1e154 overflow the floor to inf, and inf or
     NaN samples make the variance NaN; either way the penalty is inf,
-    so no split is taken.
+    so no split is taken, and numpy's overflow warnings are silenced.
     """
     arr = np.asarray(series, dtype=float)
     n = len(arr)
@@ -155,6 +156,7 @@ def default_penalty(series: Sequence[float]) -> float:
     return 2.0 * var * math.log(n)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def pelt_changepoints(series: Sequence[float],
                       penalty: Optional[float] = None) -> List[int]:
     """Exact penalized L2 segmentation with PELT pruning.

@@ -81,6 +81,20 @@ class TestBuildFrameGraph:
             assert vals["topology"] == geometry.topology(a, b)
             assert vals["overlap_ratio"] == geometry.overlap_ratio(a, b)
 
+    def test_no_required_relation_stores_no_edge(self):
+        f = frame(0, 0, [obj(1), obj(2, bbox=(20, 0, 5, 5)),
+                         obj(3, bbox=(40, 0, 5, 5))])
+        g = build_frame_graph(f, set())
+        assert g.edges == {}
+        assert len(g.nodes) == 3
+
+    def test_dump_counts_edges_from_nodes(self):
+        f = frame(0, 0, [obj(1), obj(2, bbox=(20, 0, 5, 5)),
+                         obj(3, bbox=(40, 0, 5, 5))])
+        text = build_frame_graph(f, set()).dump()
+        assert text.startswith("graph ts=0 nodes=3 edges=6")
+        assert "edge " not in text
+
     def test_dump_format(self):
         g = build_frame_graph(frame(0, 0, [obj(1), obj(2, bbox=(5, 5, 5, 5))]),
                               {"distance"})

@@ -13,9 +13,9 @@ from vekg.tag import (POSITION, X, aggregate, edge_series, motion_series,
 from vekg.windowing import WindowState
 
 
-def three_car_window():
+def three_car_window_frames():
     """Cars 1 and 2 in all frames, car 3 only in the first two."""
-    frames = [
+    return [
         frame(0, 0, [obj(1, bbox=(0, 0, 10, 10)),
                      obj(2, bbox=(30, 0, 10, 10)),
                      obj(3, bbox=(60, 0, 10, 10))]),
@@ -25,7 +25,10 @@ def three_car_window():
         frame(2, 66, [obj(1, bbox=(4, 0, 10, 10)),
                       obj(2, bbox=(34, 0, 10, 10))]),
     ]
-    return window_of(frames, {"distance"}, start=0, end=100)
+
+
+def three_car_window():
+    return window_of(three_car_window_frames(), {"distance"}, start=0, end=100)
 
 
 class TestAggregate:
@@ -101,6 +104,56 @@ class TestAggregate:
                     for i, val in enumerate(vals):
                         both = tag.nodes[u].present[i] and tag.nodes[v].present[i]
                         assert (val is X) == (not both)
+
+
+class TestNoRequiredRelation:
+    """A TAG aggregated with no relation stores only its self-loops."""
+
+    def test_only_self_loops_stored(self):
+        rng = random.Random(24)
+        for _ in range(15):
+            tag = aggregate(random_window(rng, relations=()), set())
+            assert set(tag.edges) == {(t, t) for t in tag.nodes}
+            assert all(set(rels) == {POSITION} for rels in tag.edges.values())
+
+    def test_reduction_matches_distance_aggregation(self):
+        for seed in range(25, 40):
+            bare = random_window(random.Random(seed), relations=())
+            full = random_window(random.Random(seed))
+            assert reduction_report(bare, aggregate(bare, set())) == \
+                reduction_report(full, aggregate(full, {"distance"}))
+
+    def test_unstored_pair_is_unknown_relation(self):
+        tag = aggregate(window_of(three_car_window_frames(), set()), set())
+        with pytest.raises(UnknownRelation):
+            edge_series(tag, 1, 2, "distance")
+        assert edge_series(tag, 1, 1, POSITION)[0].x == 0
+
+    def test_dump_counts_edges_from_nodes(self):
+        tag = aggregate(window_of(three_car_window_frames(), set()), set())
+        text = tag.dump()
+        assert "nodes=3 edges=9" in text
+        assert "edge 1->1 position" in text and "edge 1->2" not in text
+
+
+class TestNodeFrames:
+    def test_present_matches_frames(self):
+        rng = random.Random(41)
+        for _ in range(15):
+            win = random_window(rng)
+            tag = aggregate(win, {"distance"})
+            for tid, node in tag.nodes.items():
+                assert len(node.frames) == len(win.graphs)
+                assert node.present == [o is not None for o in node.frames]
+                for i, g in enumerate(win.graphs):
+                    here = [o for o in g.nodes if o.track_id == tid]
+                    assert node.frames[i] is (here[0] if here else None)
+
+    def test_self_loop_built_from_frames(self):
+        tag = aggregate(window_of(three_car_window_frames(), set()), set())
+        for tid, node in tag.nodes.items():
+            assert tag.edges[(tid, tid)][POSITION] == [
+                o.bbox if o is not None else X for o in node.frames]
 
 
 class TestEdgeSeries:
