@@ -1,7 +1,9 @@
 """Command-line entry point.
 
-Subcommands: run, gen, bench, validate.  Exit codes: 0 ok, 1 usage,
-2 input error, 3 internal error.
+Subcommands: run, gen, bench, validate.  `run` writes one metrics record
+per window; `bench` runs a built-in scenario through the same pipeline and
+reports the medians of those records.  Exit codes: 0 ok, 1 usage, 2 input
+error, 3 internal error.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ import json
 import logging
 import statistics
 import sys
-import time
 
 import click
 import yaml
@@ -21,7 +22,6 @@ from .ingest import open_stream
 from .metrics import score
 from .pipeline import run_pipeline
 from .rules import register_rules
-from .tag import X, edge_series
 
 log = logging.getLogger(__name__)
 
@@ -57,6 +57,14 @@ def cli(ctx, quiet):
                         format="%(levelname)s %(name)s: %(message)s")
 
 
+def _window_record(result) -> dict:
+    """The metrics line of one window, as `run` writes it."""
+    return {"window": result.index,
+            "start_ms": result.tag.start, "end_ms": result.tag.end,
+            "latency": result.latency.as_dict(),
+            "reduction": result.reduction.as_dict()}
+
+
 @cli.command("run")
 @click.option("--input", "input_path", required=True,
               help="Detection stream file, or - for stdin.")
@@ -83,12 +91,8 @@ def cmd_run(ctx, input_path, rules_path, window_ms, out_path, truth_path):
                                         separators=(",", ":")) + "\n")
             out_fh.flush()   # notifications stream out per window
             all_notes += result.notifications
-            met_fh.write(json.dumps(
-                {"window": result.index,
-                 "start_ms": result.tag.start, "end_ms": result.tag.end,
-                 "latency": result.latency.as_dict(),
-                 "reduction": result.reduction.as_dict()},
-                separators=(",", ":")) + "\n")
+            met_fh.write(json.dumps(_window_record(result),
+                                    separators=(",", ":")) + "\n")
         if truth_path:
             truth = synth.load_truth(truth_path)
             report = score(all_notes, truth)
@@ -128,76 +132,28 @@ def cmd_gen(ctx, scenario, out_path, truth_path, rules_path, seed,
         click.echo(f"wrote {out_path} and {truth_path}")
 
 
-def _bench_queries(tag):
-    """The comparison query: fetch one pair's distance series and reduce it."""
-    tracks = sorted(tag.nodes)
-    u, v = tracks[0], tracks[1]
-
-    def tag_search():
-        series = edge_series(tag, u, v, "distance")
-        return min(s for s in series if s is not X)
-
-    return u, v, tag_search
-
-
 @cli.command("bench")
 @click.argument("scenario", default="street_10min")
-@click.option("--reps", type=int, default=5, help="Timing repetitions.")
 @click.option("--window-ms", type=int, default=None)
-@click.pass_context
-def cmd_bench(ctx, scenario, reps, window_ms):
-    """Per-window latency/reduction medians plus a scan-vs-aggregated-search
-    comparison on SCENARIO."""
-    from .graph import stream_graphs
-    from .tag import aggregate
-    from .windowing import time_window
-
+def cmd_bench(scenario, window_ms):
+    """Medians of the per-window records that `run` writes, over SCENARIO
+    run through the real pipeline with the scenario's own rules."""
     sc = synth.get_scenario(scenario)
-    length = window_ms or sc.window_ms
-    required = {"distance"}
-
-    windows = list(time_window(
-        stream_graphs(synth.generate_frames(sc), required), length))
-    report = {"scenario": scenario, "reps": reps, "windows": len(windows)}
-
-    tag_ms, scan_ms, agg_ms, build_ms = [], [], [], []
-    for window in windows:
-        build_ms.append(sum(g.build_ms for g in window.graphs))
-        t0 = time.perf_counter()
-        tag = aggregate(window, required)
-        agg_ms.append((time.perf_counter() - t0) * 1000.0)
-        u, v, tag_search = _bench_queries(tag)
-
-        def frame_scan():
-            best = None
-            for g in window.graphs:
-                val = g.edges.get((u, v))
-                if val is None:
-                    continue
-                d = val["distance"]
-                if best is None or d < best:
-                    best = d
-            return best
-
-        t_tag, t_scan = [], []
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            r1 = tag_search()
-            t_tag.append((time.perf_counter() - t0) * 1000.0)
-            t0 = time.perf_counter()
-            r2 = frame_scan()
-            t_scan.append((time.perf_counter() - t0) * 1000.0)
-            assert abs(r1 - r2) < 1e-9
-        tag_ms.append(statistics.median(t_tag))
-        scan_ms.append(statistics.median(t_scan))
-
-    report["vekg_construction_ms_median"] = round(statistics.median(build_ms), 3)
-    report["tag_construction_ms_median"] = round(statistics.median(agg_ms), 3)
-    report["tag_search_ms_median"] = round(statistics.median(tag_ms), 6)
-    report["vekg_scan_ms_median"] = round(statistics.median(scan_ms), 6)
-    speedup = (statistics.median(scan_ms) / statistics.median(tag_ms)
-               if statistics.median(tag_ms) > 0 else float("inf"))
-    report["search_speedup"] = round(speedup, 2)
+    records, notes = [], 0
+    for result in run_pipeline(synth.generate_frames(sc),
+                               register_rules(sc.rule_configs),
+                               window_ms=window_ms):
+        records.append(_window_record(result))
+        notes += len(result.notifications)
+    report = {"scenario": scenario, "windows": len(records),
+              "notifications": notes}
+    for key in ("vekg_construction_ms", "tag_construction_ms",
+                "tag_search_ms", "total_ms"):
+        report[f"{key}_median"] = statistics.median(
+            r["latency"][key] for r in records)
+    for key in ("rin", "rie"):
+        report[f"{key}_median"] = statistics.median(
+            r["reduction"][key] for r in records)
     click.echo(json.dumps(report, indent=2))
 
 

@@ -187,6 +187,10 @@ def register_rules(configs: Sequence[dict]) -> RuleSet:
                 and all(isinstance(label, str) for label in labels)):
             raise InvalidRuleConfig(f"rule {rule_id}: labels must be a list of names")
         labels = tuple(labels)
+        if kind in (RuleKind.HORSE_RIDE, RuleKind.BIKE_RIDE) \
+                and (len(labels) != 2 or labels[0] == labels[1]):
+            raise InvalidRuleConfig(
+                f"rule {rule_id}: a ride needs two different labels, rider and mount")
         rules.append(EventRule(rule_id=rule_id, kind=kind, object_labels=labels,
                                window_ms=window_ms, params=params))
     return RuleSet(rules=tuple(rules))
@@ -344,12 +348,13 @@ _OVERLAP_TOPOLOGIES = frozenset(
     s for s in geometry.TOPOLOGY_SETS if SpatialRelationClass.OVERLAP in s)
 
 
-def eval_ride(tag: VekgTag, mount_label: str,
-              rule: EventRule) -> List[MatchNotification]:
-    """Person overlapping and above a mount, both moving the same way."""
+def eval_ride(tag: VekgTag, rule: EventRule) -> List[MatchNotification]:
+    """Rider overlapping and above a mount, both moving the same way; the
+    rule's two labels name the rider and the mount."""
     p = rule.params
     min_speed = p["min_speed_px"]
-    persons = _tracks_with_label(tag, ("person",))
+    rider_label, mount_label = rule.object_labels
+    persons = _tracks_with_label(tag, (rider_label,))
     mounts = _tracks_with_label(tag, (mount_label,))
     out = []
     for person in persons:
@@ -703,10 +708,8 @@ _EVALUATORS = {
 }
 
 # the arguments a kind's evaluator takes beyond (tag, rule), made once per
-# rule and Matcher: a ride's mount label, an attribute query's seen-set
+# rule and Matcher: an attribute query's seen-set
 _BOUND_ARGS = {
-    RuleKind.HORSE_RIDE: lambda: {"mount_label": "horse"},
-    RuleKind.BIKE_RIDE: lambda: {"mount_label": "bike"},
     RuleKind.ATTRIBUTE_QUERY: lambda: {"seen_tracks": set()},
 }
 

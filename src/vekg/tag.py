@@ -45,16 +45,27 @@ X = _DontCare()
 @dataclass
 class TagNode:
     track_id: int
-    label: str
-    attributes: Dict[str, str]
     # the track's object at each window frame, None where absent; the
-    # position self-loop, keypoints and attribute history are read from here
+    # position self-loop, label, keypoints and attributes are read from here
     frames: List[Optional[ObjectNode]]
 
     @property
     def present(self) -> List[bool]:
         """Whether the track is present, per window frame."""
         return [o is not None for o in self.frames]
+
+    def _last_seen(self) -> ObjectNode:
+        return next(o for o in reversed(self.frames) if o is not None)
+
+    @property
+    def label(self) -> str:
+        """The track's label at its last present frame."""
+        return self._last_seen().label
+
+    @property
+    def attributes(self) -> Dict[str, str]:
+        """The track's attributes at its last present frame."""
+        return self._last_seen().attributes
 
 
 @dataclass
@@ -106,13 +117,8 @@ def aggregate(window: WindowState, required_relations=()) -> VekgTag:
         for obj in g.nodes:
             tid = obj.track_id
             if tid not in nodes:
-                nodes[tid] = TagNode(track_id=tid, label=obj.label,
-                                     attributes=dict(obj.attributes),
-                                     frames=[None] * nframes)
-            node = nodes[tid]
-            node.frames[i] = obj
-            node.label = obj.label
-            node.attributes = dict(obj.attributes)   # last-seen wins
+                nodes[tid] = TagNode(track_id=tid, frames=[None] * nframes)
+            nodes[tid].frames[i] = obj
 
     tids = sorted(nodes)
     # self-loop: per-frame position series

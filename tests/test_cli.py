@@ -1,6 +1,7 @@
 """End-to-end command-line tests (exit codes, file outputs, determinism)."""
 
 import json
+import statistics
 
 import pytest
 import yaml
@@ -212,8 +213,12 @@ class TestRuleParams:
          "params": {"slots": 5, "overlap_threshold": 0.5}},
         {"id": "p", "kind": "parking_slot_status",
          "params": {"slots": [[0, 0, 50, 50]], "overlap_threshold": "half"}},
+        {"id": "r", "kind": "horse_ride", "labels": ["person"]},
+        {"id": "r", "kind": "bike_ride", "labels": ["person", "bike", "horse"]},
+        {"id": "r", "kind": "horse_ride", "labels": ["person", "person"]},
     ], ids=["negative-penalty", "labels-int", "window-string", "slots-int",
-            "threshold-string"])
+            "threshold-string", "ride-one-label", "ride-three-labels",
+            "ride-same-labels"])
     def test_bad_rule_config_exits_2(self, tmp_path, rule):
         rc, _ = self.run_with(tmp_path, [(1, "person", [10, 10, 40, 90])], rule)
         assert rc == EXIT_INPUT
@@ -237,13 +242,30 @@ def test_extreme_aspect_ratio_is_not_an_internal_error(tmp_path):
 
 
 class TestBench:
-    def test_street_report(self, capsys):
-        rc = main(["--quiet", "bench", "street", "--reps", "2"])
+    def test_street_report(self, capsys, tmp_path):
+        rc = main(["--quiet", "bench", "street"])
         assert rc == EXIT_OK
         report = json.loads(capsys.readouterr().out)
-        assert report["windows"] == 1
-        assert report["tag_search_ms_median"] >= 0
-        assert report["search_speedup"] > 0
+
+        stream, rules = tmp_path / "s.jsonl", tmp_path / "r.yaml"
+        out = tmp_path / "notes.jsonl"
+        assert main(["gen", "street", "--out", str(stream), "--truth",
+                     str(tmp_path / "s.truth"), "--rules", str(rules)]) == EXIT_OK
+        assert main(["--quiet", "run", "--input", str(stream), "--rules",
+                     str(rules), "--out", str(out)]) == EXIT_OK
+        notes = out.read_text().splitlines()
+        records = [json.loads(l) for l in
+                   (tmp_path / "notes.jsonl.metrics.jsonl").read_text().splitlines()]
+
+        assert len(notes) >= 1   # the scenario's rules ran and fired
+        assert report["notifications"] == len(notes)
+        assert report["windows"] == len(records)
+        for key in ("rin", "rie"):
+            assert report[f"{key}_median"] == statistics.median(
+                r["reduction"][key] for r in records)
+        for key in ("vekg_construction_ms", "tag_construction_ms",
+                    "tag_search_ms", "total_ms"):
+            assert report[f"{key}_median"] >= 0
 
 
 def test_help_exits_zero():

@@ -1,8 +1,10 @@
-"""Every name a vekg module imports is read somewhere in that module.
+"""Source gates over the vekg modules, parsed with ``ast`` since no
+linter ships with the project.
 
-No linter ships with the project, so this gate parses each module with
-``ast``.  ``__init__`` is skipped: its imports are the package's
-re-exports.
+- Every name a module imports is read somewhere in that module.
+  ``__init__`` is skipped: its imports are the package's re-exports.
+- No module holds an ``assert`` statement: ``python -O`` strips them, so
+  a check the program relies on must raise an exception of its own.
 """
 
 import ast
@@ -11,7 +13,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "vekg"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(SRC.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str):
@@ -37,3 +40,17 @@ def test_gate_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def assert_lines(source: str):
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Assert)]
+
+
+def test_gate_sees_an_assert():
+    assert assert_lines("x = 1\nif x:\n    assert x, 'x'\n") == [3]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_asserts(path):
+    assert assert_lines(path.read_text(encoding="utf-8")) == []

@@ -121,14 +121,14 @@ class TestFall:
 RIDE_RELS = {"topology", "direction"}
 
 
-def ride_frames(n=40, dx=12, mount="bike", beside=False):
+def ride_frames(n=40, dx=12, mount="bike", beside=False, rider="person"):
     frames = []
     for i in range(n):
         if beside:
-            person = obj(1, "person", (100 + dx * i, 350, 50, 90))
+            person = obj(1, rider, (100 + dx * i, 350, 50, 90))
             steed = obj(2, mount, (130 + dx * i, 355, 100, 80))
         else:
-            person = obj(1, "person", (100 + dx * i, 300, 50, 90))
+            person = obj(1, rider, (100 + dx * i, 300, 50, 90))
             steed = obj(2, mount, (75 + dx * i, 350, 100, 80))
         frames.append(frame(i, i * 33, [person, steed]))
     return frames
@@ -137,17 +137,23 @@ def ride_frames(n=40, dx=12, mount="bike", beside=False):
 class TestRide:
     def test_riding_matches(self):
         tag = tag_of(ride_frames(), RIDE_RELS)
-        notes = eval_ride(tag, "bike", one_rule("bike_ride"))
+        notes = eval_ride(tag, one_rule("bike_ride"))
         assert len(notes) == 1
         assert notes[0].participants == (1, 2)
 
     def test_stationary_mount_no_match(self):
         tag = tag_of(ride_frames(dx=0), RIDE_RELS)
-        assert eval_ride(tag, "bike", one_rule("bike_ride")) == []
+        assert eval_ride(tag, one_rule("bike_ride")) == []
 
     def test_beside_no_match(self):
         tag = tag_of(ride_frames(beside=True, mount="horse"), RIDE_RELS)
-        assert eval_ride(tag, "horse", one_rule("horse_ride")) == []
+        assert eval_ride(tag, one_rule("horse_ride")) == []
+
+    def test_rule_labels_name_rider_and_mount(self):
+        tag = tag_of(ride_frames(mount="pony", rider="rider"), RIDE_RELS)
+        assert eval_ride(tag, one_rule("horse_ride")) == []
+        notes = eval_ride(tag, one_rule("horse_ride", labels=["rider", "pony"]))
+        assert [n.participants for n in notes] == [(1, 2)]
 
 
 class TestTwoPhase:

@@ -71,11 +71,18 @@ class TestAggregate:
 
     def test_last_seen_attributes(self):
         frames = [
-            frame(0, 0, [obj(1, attrs={"color": "red"})]),
-            frame(1, 33, [obj(1, attrs={"color": "green"})]),
+            frame(0, 0, [obj(1, label="van", attrs={"color": "red"}),
+                         obj(2, label="car", attrs={"color": "blue"})]),
+            frame(1, 33, [obj(1, label="truck", attrs={"color": "green"}),
+                          obj(2, label="bus", attrs={"color": "white"})]),
+            frame(2, 66, [obj(1, attrs={"color": "black"})]),
         ]
         tag = aggregate(window_of(frames, set()))
-        assert tag.nodes[1].attributes == {"color": "green"}
+        assert tag.nodes[1].label == "car"
+        assert tag.nodes[1].attributes == {"color": "black"}
+        # track 2 is absent at the window's last frame
+        assert tag.nodes[2].label == "bus"
+        assert tag.nodes[2].attributes == {"color": "white"}
 
     def test_n_squared_law_random(self):
         rng = random.Random(21)
