@@ -40,7 +40,7 @@ def load_rules_file(path) -> list:
     except yaml.YAMLError as exc:
         raise VekgError(f"bad rules file {path}: {exc}") from exc
     if isinstance(doc, dict) and "rules" in doc:
-        return doc["rules"]
+        doc = doc["rules"]
     if isinstance(doc, list):
         return doc
     raise VekgError(f"rules file {path} must hold a 'rules' list")
@@ -80,6 +80,7 @@ def _window_record(result) -> dict:
 def cmd_run(ctx, input_path, rules_path, window_ms, out_path, truth_path):
     """Match rules over a detection stream, streaming notifications out."""
     ruleset = register_rules(load_rules_file(rules_path))
+    window_ms = ruleset.window_ms(window_ms)   # an empty rule set needs one
     metrics_path = out_path + ".metrics.jsonl"
     all_notes = []
     with open(out_path, "w", encoding="utf-8") as out_fh, \

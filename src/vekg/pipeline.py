@@ -30,15 +30,16 @@ def run_pipeline(frames, ruleset: RuleSet,
                  window_ms: Optional[int] = None) -> Iterator[WindowResult]:
     """Run the full matching pipeline over a frame stream.
 
-    Yields one WindowResult per window, in window order.
+    Yields one WindowResult per window, in window order; a run of empty
+    windows comes as one result, and ``index`` counts every window.
     """
-    required = ruleset.required_relations()
+    needs = ruleset.relation_needs()
     length = ruleset.window_ms(window_ms)
     matcher = Matcher(ruleset)
-    windows = time_window(stream_graphs(frames, required), length)
-    for index, window in enumerate(windows):
+    index = 0
+    for window in time_window(stream_graphs(frames, needs), length):
         t0 = time.perf_counter()
-        tag = aggregate(window, required)
+        tag = aggregate(window, needs)
         t1 = time.perf_counter()
         notifications = matcher.match(tag)
         t2 = time.perf_counter()
@@ -49,3 +50,4 @@ def run_pipeline(frames, ruleset: RuleSet,
                 tag_construction_ms=(t1 - t0) * 1000.0,
                 tag_search_ms=(t2 - t1) * 1000.0),
             reduction=reduction_report(window, tag))
+        index += (window.end - window.start) // length

@@ -12,11 +12,12 @@ import logging
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from . import geometry
 from .errors import InvalidRuleConfig
 from .geometry import BoundingBox, Region, SpatialRelationClass, DirectionClass
+from .graph import RelationNeeds, relation_needs
 from .tag import POSITION, VekgTag, X, edge_series, motion_series
 from .temporal import Interval, Trend, no_motion_span, pelt_changepoints, trend
 
@@ -110,10 +111,10 @@ DEFAULT_LABELS = {
     RuleKind.ATTRIBUTE_QUERY: ("car",),
 }
 
-# pair relations each kind needs on frame-graph edges
+# pair relations each kind reads on its (rider, mount) label pair's edges
 RELATION_NEEDS = {
-    RuleKind.HORSE_RIDE: {"topology", "direction"},
-    RuleKind.BIKE_RIDE: {"topology", "direction"},
+    RuleKind.HORSE_RIDE: frozenset({"topology", "direction"}),
+    RuleKind.BIKE_RIDE: frozenset({"topology", "direction"}),
 }
 
 
@@ -121,15 +122,22 @@ RELATION_NEEDS = {
 class RuleSet:
     rules: Tuple[EventRule, ...]
 
-    def required_relations(self) -> Set[str]:
-        needed: Set[str] = set()
+    def relation_needs(self) -> RelationNeeds:
+        """``{(rider_label, mount_label): relations}`` over the rules that
+        read pair relations; rules on the same label pair merge."""
+        needs: Dict[Tuple[str, str], FrozenSet[str]] = {}
         for r in self.rules:
-            needed |= RELATION_NEEDS.get(r.kind, set())
-        return needed
+            if r.kind in RELATION_NEEDS:
+                key = r.object_labels
+                needs[key] = needs.get(key, frozenset()) | RELATION_NEEDS[r.kind]
+        return relation_needs(needs)
 
     def window_ms(self, override: Optional[int] = None) -> int:
         if override is not None:
             return override
+        if not self.rules:
+            raise InvalidRuleConfig(
+                "a rule set with no rules needs an explicit window length")
         lengths = {r.window_ms for r in self.rules}
         if len(lengths) > 1:
             raise InvalidRuleConfig(

@@ -3,12 +3,16 @@
 The window's per-frame graphs collapse into a single complete directed
 graph whose nodes are the distinct tracks seen in the window.  Each node
 keeps its object at every window frame (None where absent) and has a
-self-loop edge storing its per-frame position.  For each required
-relation, every ordered pair edge carries a series of length |T| with a
-don't-care marker (X) wherever an endpoint object is absent.  With no
-required relation no pair edge is stored: the graph still has n^2
-edges, counted from its nodes.  Memory is O(n * T) for the nodes plus
-O(n^2 * T) per required relation.
+self-loop edge storing its per-frame position.  Pair series are built
+only where the rules read them: for each needed ordered label pair (see
+``graph.relation_needs``), every ordered pair of tracks whose node labels
+match it carries a series of length |T| per needed relation.  A slot
+holds the frame's value when both objects are present in that frame and
+carry those labels there, and a don't-care marker (X) otherwise; a pair
+never co-present gets an all-X series.  With no need no pair edge is
+stored: the graph still has n^2 edges, counted from its nodes.  Memory
+is O(n * T) for the nodes plus O(T) per needed relation of each matched
+pair.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import RelationVocabularyMismatch, UnknownNode, UnknownRelation
 from .geometry import point_distance
-from .graph import format_value
+from .graph import ANY, ALL_PAIRS, RelationNeeds, format_value, relation_needs
 from .ingest import ObjectNode
 from .windowing import WindowState
 
@@ -78,7 +82,7 @@ class VekgTag:
     nodes: Dict[int, TagNode]
     # (u, u) -> {"position" -> series}; (u, v) -> {relation -> series}
     edges: Dict[Tuple[int, int], Dict[str, list]]
-    relation_classes: frozenset
+    needs: RelationNeeds
 
     @property
     def frame_count(self) -> int:
@@ -99,14 +103,25 @@ class VekgTag:
         return "\n".join(lines)
 
 
+def _covers(graph_needs: RelationNeeds, needs: RelationNeeds) -> bool:
+    """Whether a graph built for ``graph_needs`` holds every value ``needs``
+    reads; ALL_PAIRS covers every label pair."""
+    everywhere = graph_needs.get(ALL_PAIRS, frozenset())
+    return all(rels <= graph_needs.get(key, everywhere)
+               for key, rels in needs.items())
+
+
 def aggregate(window: WindowState, required_relations=()) -> VekgTag:
-    """Collapse a window's graph stream into one VekgTag."""
-    required = frozenset(required_relations)
+    """Collapse a window's graph stream into one VekgTag.
+
+    ``required_relations`` is a needs mapping or a plain relation set (see
+    ``graph.relation_needs``).
+    """
+    needs = relation_needs(required_relations)
     for g in window.graphs:
-        if not required <= g.relation_classes:
-            missing = required - g.relation_classes
+        if g.needs is not needs and not _covers(g.needs, needs):
             raise RelationVocabularyMismatch(
-                f"window graph at t={g.timestamp} lacks relations {sorted(missing)}")
+                f"window graph at t={g.timestamp} lacks needs {dict(needs)}")
 
     timestamps = tuple(g.timestamp for g in window.graphs)
     nframes = len(timestamps)
@@ -126,27 +141,43 @@ def aggregate(window: WindowState, required_relations=()) -> VekgTag:
         (u, u): {POSITION: [o.bbox if o is not None else X
                             for o in nodes[u].frames]}
         for u in tids}
-    if required:
+    if needs:
+        scoped = ALL_PAIRS not in needs
+        label = {u: nodes[u].label if scoped else ANY for u in tids}
+        tracks: Dict[Optional[str], List[int]] = {}
         for u in tids:
-            for v in tids:
-                if u != v:
-                    edges[(u, v)] = {rel: [X] * nframes for rel in required}
+            tracks.setdefault(label[u], []).append(u)
+        for (label_u, label_v), rels in needs.items():
+            for u in tracks.get(label_u, ()):
+                for v in tracks.get(label_v, ()):
+                    if u != v:
+                        edges[(u, v)] = {rel: [X] * nframes for rel in rels}
+        # a slot holds a value only while both tracks carry their node's
+        # labels, which can fail only if some track changes label
+        relabelled = scoped and any(
+            o is not None and o.label != label[u]
+            for u in tids for o in nodes[u].frames)
         for i, g in enumerate(window.graphs):
-            for pair, values in g.edges.items():
-                series = edges[pair]
-                for rel in required:
-                    series[rel][i] = values[rel]
+            for (u, v), values in g.edges.items():
+                series = edges.get((u, v))
+                if series is None:
+                    continue
+                if relabelled and (nodes[u].frames[i].label != label[u]
+                                   or nodes[v].frames[i].label != label[v]):
+                    continue
+                for rel, slots in series.items():
+                    slots[i] = values[rel]
 
     return VekgTag(start=window.start, end=window.end, timestamps=timestamps,
-                   nodes=nodes, edges=edges, relation_classes=required)
+                   nodes=nodes, edges=edges, needs=needs)
 
 
 def edge_series(tag: VekgTag, u: int, v: int, relation: str) -> list:
     """Constant-time fetch of a full edge series.
 
     ``u == v`` with the "position" relation returns the self-loop series.
-    A relation not stored on the edge raises UnknownRelation; a TAG
-    aggregated with no required relation stores no pair edge at all.
+    A relation not stored on the edge raises UnknownRelation: a TAG stores
+    no pair edge whose labels no need names.
     """
     if u not in tag.nodes:
         raise UnknownNode(f"track {u} not in tag")

@@ -3,7 +3,9 @@
 Windows are left-closed right-open, aligned to the first observed
 timestamp, and emitted as soon as the first graph at or beyond their
 end arrives (or at end of stream).  Empty windows are emitted so that
-absence-based rules can still fire.
+absence-based rules can still fire; a run of consecutive empty windows
+comes as one state spanning them all, so the work stays bounded by the
+number of graphs, not by the stream's time span.
 """
 
 from __future__ import annotations
@@ -42,12 +44,16 @@ def time_window(graphs, length: int) -> Iterator[WindowState]:
         if t0 is None:
             t0 = g.timestamp
         k = (g.timestamp - t0) // length
-        while k > index:
+        if k > index:
             yield WindowState(start=t0 + index * length,
                               end=t0 + (index + 1) * length,
                               graphs=tuple(pending))
             pending = []
             index += 1
+            if k > index:   # the empty windows before g, as one state
+                yield WindowState(start=t0 + index * length,
+                                  end=t0 + k * length, graphs=())
+                index = k
         pending.append(g)
     if t0 is not None:
         yield WindowState(start=t0 + index * length,

@@ -176,7 +176,9 @@ class TestRuleParams:
     """A bad rule config is rejected at load, whatever the stream holds."""
 
     @staticmethod
-    def run_with(tmp_path, actors, rule):
+    def run_with(tmp_path, actors, rule, doc=None, args=()):
+        """Run 30 frames of ``actors`` under the rules file ``doc``, by
+        default ``{"rules": [rule]}``."""
         stream = tmp_path / "s.jsonl"
         lines = ['{"format":"vekg-detections","version":1,'
                  '"resolution":[640,480]}']
@@ -188,10 +190,10 @@ class TestRuleParams:
                                      "objects": objs}))
         stream.write_text("\n".join(lines) + "\n")
         rules = tmp_path / "r.yaml"
-        rules.write_text(yaml.safe_dump({"rules": [rule]}))
+        rules.write_text(yaml.safe_dump({"rules": [rule]} if doc is None else doc))
         out = tmp_path / "o.jsonl"
         rc = main(["--quiet", "run", "--input", str(stream),
-                   "--rules", str(rules), "--out", str(out)])
+                   "--rules", str(rules), "--out", str(out), *args])
         return rc, out
 
     @pytest.mark.parametrize("actors", [
@@ -222,6 +224,49 @@ class TestRuleParams:
     def test_bad_rule_config_exits_2(self, tmp_path, rule):
         rc, _ = self.run_with(tmp_path, [(1, "person", [10, 10, 40, 90])], rule)
         assert rc == EXIT_INPUT
+
+
+    @pytest.mark.parametrize("doc", [{"rules": []}, [], {"rules": 5}, 5,
+                                     {"rules": None}, {"rules": "fall"}],
+                             ids=["empty-list", "bare-empty-list", "rules-int",
+                                  "bare-int", "rules-null", "rules-string"])
+    def test_empty_or_non_list_rule_file_exits_2(self, tmp_path, doc):
+        rc, out = self.run_with(tmp_path, [(1, "person", [10, 10, 40, 90])],
+                                None, doc=doc)
+        assert rc == EXIT_INPUT
+        assert not out.exists()   # rejected before the stream was read
+
+    def test_empty_rule_list_with_window_length_runs(self, tmp_path):
+        rc, out = self.run_with(tmp_path, [(1, "person", [10, 10, 40, 90])],
+                                None, doc={"rules": []}, args=["--window-ms", "500"])
+        assert rc == EXIT_OK
+        assert out.read_text() == ""
+        records = (tmp_path / "o.jsonl.metrics.jsonl").read_text().splitlines()
+        assert len(records) == 2   # 30 frames at 33 ms in 500 ms windows
+
+
+def test_timestamp_gap_writes_one_record_per_empty_run(tmp_path):
+    """Two frames 100 s apart in 10 ms windows: the 9,999 empty windows
+    between them come as one metrics record spanning them all."""
+    stream = tmp_path / "gap.jsonl"
+    lines = ['{"format":"vekg-detections","version":1,"resolution":[640,480]}']
+    for i, ts in enumerate((0, 100_000)):
+        lines.append(json.dumps({"frame": i, "ts_ms": ts, "objects": [
+            {"track": 1, "label": "car", "conf": 0.9, "bbox": [1, 1, 5, 5]}]}))
+    stream.write_text("\n".join(lines) + "\n")
+    rules = tmp_path / "r.yaml"
+    rules.write_text(yaml.safe_dump({"rules": [
+        {"id": "a", "kind": "attribute_query", "window_ms": 10,
+         "params": {"attribute": "color", "value": "red"}}]}))
+    out = tmp_path / "o.jsonl"
+    assert main(["--quiet", "run", "--input", str(stream), "--rules", str(rules),
+                 "--out", str(out)]) == EXIT_OK
+    records = [json.loads(l) for l in
+               (tmp_path / "o.jsonl.metrics.jsonl").read_text().splitlines()]
+    assert len(records) <= 2 + 1
+    assert [(r["window"], r["start_ms"], r["end_ms"]) for r in records] == [
+        (0, 0, 10), (1, 10, 100_000), (10_000, 100_000, 100_010)]
+    assert records[1]["reduction"]["vekg_nodes"] == 0
 
 
 def test_extreme_aspect_ratio_is_not_an_internal_error(tmp_path):

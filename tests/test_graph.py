@@ -10,6 +10,8 @@ from vekg.errors import UnknownRelation
 from vekg.geometry import DirectionClass
 from vekg.graph import build_frame_graph, stream_graphs
 
+RIDE = {"topology", "direction"}
+
 
 class TestBuildFrameGraph:
     def test_three_objects_six_distance_edges(self):
@@ -101,6 +103,41 @@ class TestBuildFrameGraph:
         text = g.dump()
         assert text.startswith("graph ts=0 nodes=2 edges=2")
         assert "node 1" in text and "edge 1->2" in text
+
+
+class TestScopedNeeds:
+    """Needs keyed by ordered label pairs evaluate only those pairs."""
+
+    FRAME = frame(0, 0, [obj(1, "person", (0, 0, 10, 20)),
+                         obj(2, "horse", (0, 15, 30, 20)),
+                         obj(3, "person", (40, 0, 10, 20)),
+                         obj(4, "bike", (35, 15, 30, 20)),
+                         obj(5, "car", (90, 0, 30, 20))])
+
+    def test_edges_exactly_for_matching_label_pairs(self):
+        g = build_frame_graph(self.FRAME, {("person", "horse"): {"topology"},
+                                           ("person", "bike"): {"direction"}})
+        assert {pair: set(vals) for pair, vals in g.edges.items()} == {
+            (1, 2): {"topology"}, (3, 2): {"topology"},
+            (1, 4): {"direction"}, (3, 4): {"direction"}}
+
+    def test_same_label_pair_skips_self(self):
+        g = build_frame_graph(self.FRAME, {("person", "person"): {"distance"}})
+        assert set(g.edges) == {(1, 3), (3, 1)}
+
+    def test_values_equal_the_all_pairs_build(self):
+        scoped = build_frame_graph(self.FRAME, {("person", "horse"): RIDE})
+        full = build_frame_graph(self.FRAME, RIDE)
+        assert len(full.edges) == 5 * 4   # a plain set: every ordered pair
+        assert scoped.edges == {p: full.edges[p] for p in scoped.edges}
+
+    def test_label_pair_absent_from_frame(self):
+        g = build_frame_graph(self.FRAME, {("rider", "pony"): RIDE})
+        assert g.edges == {}
+
+    def test_unknown_relation_in_needs(self):
+        with pytest.raises(UnknownRelation):
+            build_frame_graph(self.FRAME, {("person", "horse"): {"sorcery"}})
 
 
 class TestStreamGraphs:

@@ -89,6 +89,60 @@ def _dense_scene() -> synth.Scenario:
                           dropout_prob=0.05, seed=11)
 
 
+def _mixed_labels_scene() -> synth.Scenario:
+    """Ride rules with non-default labels among bystanders and other mounts.
+
+    Riders labelled ``rider`` move over ``pony`` and ``bike`` mounts, a
+    ``person`` rides a pony and another a horse, a ``rider`` rides a
+    horse, and persons and riders walk or stand next to mounts of both
+    kinds without riding them.  Two rules share the ``(rider, bike)``
+    labels; the default horse rule reads ``(person, horse)``.
+    """
+    dur = 4_000
+    movers = [  # (rider id, rider label, mount id, mount label)
+        (1, "rider", 11, "pony"), (2, "rider", 12, "bike"),
+        (3, "person", 13, "pony"), (4, "rider", 14, "horse"),
+        (5, "person", 15, "horse"), (6, "rider", 16, "pony"),
+    ]
+    actors = []
+    for k, (rider, rider_label, mount, mount_label) in enumerate(movers):
+        x0, y = 40 + 50 * k, 30 + 110 * k
+        actors.append(synth.ActorScript(
+            track_id=rider, label=rider_label,
+            bbox_keys=((0, x0 + 25, y, 50, 90), (dur, x0 + 25 + 1400, y, 50, 90))))
+        actors.append(synth.ActorScript(
+            track_id=mount, label=mount_label,
+            bbox_keys=((0, x0, y + 50, 100, 80), (dur, x0 + 1400, y + 50, 100, 80))))
+    bystanders = [
+        # a rider walking alone, right to left
+        (21, "rider", ((0, 1700, 800, 40, 90), (dur, 300, 800, 40, 90))),
+        # a person walking over a static bike without riding it
+        (22, "person", ((0, 600, 700, 40, 90), (dur, 600, 950, 40, 90))),
+        (23, "bike", ((0, 580, 760, 100, 80),)),
+        # a rider standing on a static pony, a person next to a static horse
+        (24, "rider", ((0, 1000, 700, 50, 90),)),
+        (25, "pony", ((0, 975, 750, 100, 80),)),
+        (26, "person", ((0, 1300, 700, 40, 90),)),
+        (27, "horse", ((0, 1350, 720, 100, 80),)),
+        # a pony and a bike moving together with nobody on them
+        (28, "pony", ((0, 100, 950, 100, 80), (dur, 1500, 950, 100, 80))),
+        (29, "bike", ((0, 120, 960, 100, 80), (dur, 1520, 960, 100, 80))),
+    ]
+    actors += [synth.ActorScript(track_id=t, label=label, bbox_keys=keys)
+               for t, label, keys in bystanders]
+    rules = ({"id": "pony_ride", "kind": "horse_ride", "window_ms": 1000,
+              "labels": ["rider", "pony"], "params": {"min_frames": 5}},
+             {"id": "horse_ride", "kind": "horse_ride", "window_ms": 1000},
+             {"id": "rider_bike", "kind": "bike_ride", "window_ms": 1000,
+              "labels": ["rider", "bike"]},
+             {"id": "rider_bike_long", "kind": "bike_ride", "window_ms": 1000,
+              "labels": ["rider", "bike"], "params": {"min_frames": 20}})
+    return synth.Scenario(name="mixed_labels", duration_ms=dur, fps=30,
+                          resolution=synth.RES, actors=tuple(actors),
+                          rule_configs=rules, window_ms=1000,
+                          noise_sigma_px=1.0, dropout_prob=0.05, seed=17)
+
+
 def _cases():
     """(case id, scenario) for every run whose output is pinned."""
     cases = [(sc.name, sc) for sc in synth.builtin_scenarios()]
@@ -99,6 +153,7 @@ def _cases():
               for seed in FALL_NOISE_SEEDS
               for name in ("fall_positive", "fall_negative")]
     cases.append(("dense", _dense_scene()))
+    cases.append(("mixed_labels", _mixed_labels_scene()))
     return cases
 
 
@@ -164,6 +219,7 @@ DIGESTS = {
     'fall_positive_noisy_23': ('a841c16e70722b2c1a325f65f47ebc2f25d138d44cb4a25e74e2bba462ef6461', 'f2f28962d52a24f2479d1b00af9da847d0a77df198a8a593fe61cd08749feb92'),
     'fall_negative_noisy_23': ('e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '32ca684a215b3d0a8b86d20b9afae5d8fc42caefd6cca383b2159d441e612000'),
     'dense': ('7dd214451b1930664860a5d1d0554bb4141483fb9843e8485b4c5559ceaf3643', 'e794400a90e62f0c5dfe03f03e5ec9a037e615aa4649cfe007024e2439145ee7'),
+    'mixed_labels': ('4d6c6620cb9ee9685b8499556bfa3e2036a1a3877b66c981edb6e9c8d0ab693a', '9046dd71a1551769c7934d014eb52ab29350be964e642f460bdd51bf90d54a54'),
 }
 
 
@@ -192,6 +248,23 @@ def test_dense_scene_exercises_corner_cases(tmp_path):
                  "--rules", str(rules), "--out", str(out)]) == EXIT_OK
     kinds = {json.loads(l)["kind"] for l in out.read_text().splitlines()}
     assert kinds == {"horse_ride", "bike_ride"}
+
+
+
+def test_mixed_labels_scene_fires_only_labelled_rides(tmp_path):
+    """Each ride rule fires on its own label pair only."""
+    sc = _mixed_labels_scene()
+    synth.generate(sc, str(tmp_path / "m.jsonl"), str(tmp_path / "m.truth"))
+    rules = tmp_path / "m.yaml"
+    rules.write_text(yaml.safe_dump({"rules": [dict(r) for r in sc.rule_configs]}))
+    out = tmp_path / "m.out"
+    assert main(["--quiet", "run", "--input", str(tmp_path / "m.jsonl"),
+                 "--rules", str(rules), "--out", str(out)]) == EXIT_OK
+    fired = {(n["rule_id"], tuple(n["participants"]))
+             for n in map(json.loads, out.read_text().splitlines())}
+    assert fired == {("pony_ride", (1, 11)), ("pony_ride", (6, 16)),
+                     ("horse_ride", (5, 15)), ("rider_bike", (2, 12)),
+                     ("rider_bike_long", (2, 12))}
 
 
 if __name__ == "__main__":

@@ -1,5 +1,7 @@
 """Rule evaluator and registry tests."""
 
+from dataclasses import replace
+
 import pytest
 
 from conftest import frame, obj, window_of
@@ -10,6 +12,7 @@ from vekg.rules import (Matcher, RuleKind, _two_phase, eval_attribute,
 from vekg.tag import X, aggregate
 from vekg.windowing import time_window
 from vekg.graph import stream_graphs
+from vekg.pipeline import run_pipeline
 from vekg import synth
 
 
@@ -74,7 +77,24 @@ class TestRegistry:
         rs = register_rules([
             {"id": "a", "kind": "bike_ride"},
             {"id": "b", "kind": "fall_detection"}])
-        assert rs.required_relations() == {"topology", "direction"}
+        assert rs.relation_needs() == {("person", "bike"): {"topology", "direction"}}
+
+    def test_relation_needs_merge_per_label_pair(self):
+        rs = register_rules([
+            {"id": "a", "kind": "bike_ride"},
+            {"id": "b", "kind": "horse_ride", "labels": ["person", "bike"]},
+            {"id": "c", "kind": "horse_ride", "labels": ["rider", "pony"]},
+            {"id": "d", "kind": "handshake"}])
+        assert rs.relation_needs() == {
+            ("person", "bike"): {"topology", "direction"},
+            ("rider", "pony"): {"topology", "direction"}}
+        assert register_rules([]).relation_needs() == {}
+
+    def test_empty_rule_set_needs_a_window_length(self):
+        rs = register_rules([])
+        with pytest.raises(InvalidRuleConfig):
+            rs.window_ms()
+        assert rs.window_ms(override=500) == 500
 
     def test_bad_region(self):
         with pytest.raises(InvalidRuleConfig):
@@ -155,6 +175,23 @@ class TestRide:
         notes = eval_ride(tag, one_rule("horse_ride", labels=["rider", "pony"]))
         assert [n.participants for n in notes] == [(1, 2)]
 
+    def test_labelled_rule_fires_on_relabelled_stream(self):
+        sc = synth.get_scenario("horse_ride_positive")
+        names = {"person": "rider", "horse": "pony"}
+        relabelled = replace(sc, actors=tuple(
+            replace(a, label=names[a.label]) for a in sc.actors))
+        rs = register_rules([dict(r, labels=["rider", "pony"])
+                             for r in sc.rule_configs])
+        assert rs.relation_needs() == {("rider", "pony"): {"topology", "direction"}}
+
+        def notes(scenario, ruleset):
+            return [n for result in run_pipeline(synth.generate_frames(scenario),
+                                                 ruleset)
+                    for n in result.notifications]
+        want = notes(sc, register_rules(list(sc.rule_configs)))
+        assert len(want) == 4
+        assert notes(relabelled, rs) == want
+
 
 class TestTwoPhase:
     def test_monotone_series_never_fires(self):
@@ -180,11 +217,11 @@ class TestHandshakePunchScenarios:
         sc = synth.get_scenario(name)
         rs = register_rules([dict(r) for r in sc.rule_configs])
         graphs = stream_graphs(synth.generate_frames(sc),
-                               rs.required_relations())
+                               rs.relation_needs())
         matcher = Matcher(rs)
         out = []
         for w in time_window(graphs, rs.window_ms()):
-            out += matcher.match(aggregate(w, rs.required_relations()))
+            out += matcher.match(aggregate(w, rs.relation_needs()))
         return out
 
     def test_handshake_positive(self):
@@ -330,10 +367,10 @@ class TestMatcherProperties:
         sc = synth.get_scenario(name)
         rs = register_rules([dict(r) for r in sc.rule_configs])
         graphs = stream_graphs(synth.generate_frames(sc),
-                               rs.required_relations())
+                               rs.relation_needs())
         windows = list(time_window(graphs, rs.window_ms()))
         matcher = Matcher(rs)
-        return [(w, aggregate(w, rs.required_relations())) for w in windows], matcher
+        return [(w, aggregate(w, rs.relation_needs())) for w in windows], matcher
 
     def test_window_confinement_and_ordering(self):
         pairs, matcher = self._run("jaywalk_positive")
@@ -374,7 +411,7 @@ class TestMatcherProperties:
     def test_ride_rules_bind_their_own_mount(self):
         rs = register_rules([{"id": "h", "kind": "horse_ride"},
                              {"id": "b", "kind": "bike_ride"}])
-        tag = tag_of(ride_frames(mount="bike"), rs.required_relations())
+        tag = tag_of(ride_frames(mount="bike"), rs.relation_needs())
         notes = Matcher(rs).match(tag)
         assert [(n.rule_id, n.kind) for n in notes] == [("b", RuleKind.BIKE_RIDE)]
 

@@ -143,6 +143,87 @@ class TestNoRequiredRelation:
         assert "edge 1->1 position" in text and "edge 1->2" not in text
 
 
+class TestScopedNeeds:
+    """A TAG aggregated for label-pair needs holds series only for the
+    track pairs whose node labels match a needed pair."""
+
+    NEEDS = {("person", "horse"): {"distance"}}
+
+    @staticmethod
+    def frames():
+        """Persons 1 and 2, horse 3, car 4; person 2 and horse 3 are never
+        in the same frame."""
+        return [
+            frame(0, 0, [obj(1, "person", (0, 0, 10, 10)),
+                         obj(3, "horse", (30, 0, 10, 10)),
+                         obj(4, "car", (60, 0, 10, 10))]),
+            frame(1, 33, [obj(1, "person", (2, 0, 10, 10)),
+                          obj(2, "person", (90, 0, 10, 10))]),
+            frame(2, 66, [obj(1, "person", (4, 0, 10, 10)),
+                          obj(3, "horse", (34, 0, 10, 10)),
+                          obj(4, "car", (64, 0, 10, 10))]),
+        ]
+
+    def test_series_for_every_label_matched_pair(self):
+        tag = aggregate(window_of(self.frames(), self.NEEDS), self.NEEDS)
+        pairs = {p for p in tag.edges if p[0] != p[1]}
+        assert pairs == {(1, 3), (2, 3)}
+        assert set(tag.edges[(1, 3)]) == {"distance"}
+        assert edge_series(tag, 1, 3, "distance") == [30.0, X, 30.0]
+
+    def test_never_co_present_pair_is_all_x(self):
+        tag = aggregate(window_of(self.frames(), self.NEEDS), self.NEEDS)
+        assert edge_series(tag, 2, 3, "distance") == [X, X, X]
+
+    def test_unmatched_pair_has_no_series(self):
+        tag = aggregate(window_of(self.frames(), self.NEEDS), self.NEEDS)
+        for u, v in ((3, 1), (1, 4), (1, 2)):
+            with pytest.raises(UnknownRelation):
+                edge_series(tag, u, v, "distance")
+
+    def test_slots_equal_the_all_pairs_tag(self):
+        rng = random.Random(25)
+        labels = ("person", "horse", "bike")
+        for _ in range(15):
+            win = random_window(rng)
+            frames = [frame(i, g.timestamp,
+                            [obj(o.track_id, labels[o.track_id % 3],
+                                 (o.bbox.x, o.bbox.y, o.bbox.w, o.bbox.h))
+                             for o in g.nodes])
+                      for i, g in enumerate(win.graphs)]
+            needs = {("person", "horse"): {"distance"},
+                     ("bike", "person"): {"distance"}}
+            scoped = aggregate(window_of(frames, needs, win.start, win.end), needs)
+            full = aggregate(window_of(frames, {"distance"}, win.start, win.end),
+                             {"distance"})
+            for (u, v), series in scoped.edges.items():
+                assert series == full.edges[(u, v)]
+                if u != v:
+                    assert (scoped.nodes[u].label, scoped.nodes[v].label) in needs
+
+    def test_label_change_mid_window_gives_x(self):
+        """A slot holds a value only in frames where both tracks carry
+        the labels of their node (the last label seen in the window)."""
+        needs = {("person", "horse"): {"distance"},
+                 ("person", "bike"): {"distance"}}
+        frames = [frame(i, 33 * i, [obj(1, "person", (0, 0, 10, 10)),
+                                     obj(2, mount, (30, 0, 10, 10))])
+                  for i, mount in enumerate(("bike", "bike", "cow",
+                                             "horse", "horse"))]
+        tag = aggregate(window_of(frames, needs), needs)
+        assert tag.nodes[2].label == "horse"
+        assert edge_series(tag, 1, 2, "distance") == [X, X, X, 30.0, 30.0]
+        assert set(tag.edges) == {(1, 1), (2, 2), (1, 2)}
+
+    def test_graphs_built_for_other_pairs_rejected(self):
+        win = window_of(self.frames(), {("person", "bike"): {"distance"}})
+        with pytest.raises(RelationVocabularyMismatch):
+            aggregate(win, self.NEEDS)
+        covered = window_of(self.frames(), {"distance"})
+        assert edge_series(aggregate(covered, self.NEEDS), 1, 3, "distance") \
+            == [30.0, X, 30.0]
+
+
 class TestNodeFrames:
     def test_present_matches_frames(self):
         rng = random.Random(41)

@@ -26,6 +26,11 @@ class TestTimeWindow:
         assert [(w.start, w.end, len(w.graphs)) for w in wins] == \
             [(0, 1000, 1), (1000, 2000, 0), (2000, 3000, 1)]
 
+    def test_empty_run_is_one_state(self):
+        wins = list(time_window(graphs_at([0, 5, 100_000]), 10))
+        assert [(w.start, w.end, len(w.graphs)) for w in wins] == \
+            [(0, 10, 2), (10, 100_000, 0), (100_000, 100_010, 1)]
+
     def test_single_graph(self):
         wins = list(time_window(graphs_at([42]), 777))
         assert len(wins) == 1
@@ -70,4 +75,10 @@ class TestTimeWindow:
         assert wins[0].start == ts[0]
         for prev, nxt in zip(wins, wins[1:]):
             assert prev.end == nxt.start
-            assert prev.end - prev.start == length
+            # a run of empty windows comes as one state
+            assert prev.graphs or nxt.graphs
+        for w in wins:
+            # a state spans one window, or a whole number of empty ones
+            assert (w.end - w.start) % length == 0
+            assert w.end - w.start == length or not w.graphs
+        assert wins[-1].end == ts[0] + ((ts[-1] - ts[0]) // length + 1) * length
