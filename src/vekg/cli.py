@@ -81,6 +81,7 @@ def cmd_run(ctx, input_path, rules_path, window_ms, out_path, truth_path):
     """Match rules over a detection stream, streaming notifications out."""
     ruleset = register_rules(load_rules_file(rules_path))
     window_ms = ruleset.window_ms(window_ms)   # an empty rule set needs one
+    truth = synth.load_truth(truth_path) if truth_path else None
     metrics_path = out_path + ".metrics.jsonl"
     all_notes = []
     with open(out_path, "w", encoding="utf-8") as out_fh, \
@@ -94,8 +95,7 @@ def cmd_run(ctx, input_path, rules_path, window_ms, out_path, truth_path):
             all_notes += result.notifications
             met_fh.write(json.dumps(_window_record(result),
                                     separators=(",", ":")) + "\n")
-        if truth_path:
-            truth = synth.load_truth(truth_path)
+        if truth is not None:
             report = score(all_notes, truth)
             met_fh.write(json.dumps({"accuracy": report.as_dict()},
                                     separators=(",", ":")) + "\n")

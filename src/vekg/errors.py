@@ -73,3 +73,7 @@ class InvalidRuleConfig(VekgError):
 
 class InvalidScenario(VekgError):
     """A synthetic scenario script is inconsistent."""
+
+
+class InvalidTruth(VekgError):
+    """A ground-truth file line is not a well-formed event."""

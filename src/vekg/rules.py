@@ -9,13 +9,15 @@ parallel, notifications are merged deterministically afterwards.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, FrozenSet, List, NamedTuple, Optional,
+                    Sequence, Set, Tuple)
 
 from . import geometry
-from .errors import InvalidRuleConfig
+from .errors import InvalidRegion, InvalidRuleConfig
 from .geometry import BoundingBox, Region, SpatialRelationClass, DirectionClass
 from .graph import RelationNeeds, relation_needs
 from .tag import POSITION, VekgTag, X, edge_series, motion_series
@@ -60,61 +62,81 @@ class MatchNotification:
                 "evidence": self.evidence}
 
 
-# --- parameter defaults per rule kind ---
+# --- parameter parsers: raw config value -> value, or TypeError/ValueError ---
 
-DEFAULTS = {
-    RuleKind.FALL_DETECTION: {
-        "no_motion_speed_px": 6.0,   # the "no motion" speed threshold
-        "still_frames": 8,
-        "gap_frames": 45,
-        "min_aspect_jump": 1.2,      # post/pre aspect-ratio mean factor
-        "penalty": None,             # None -> BIC default
-    },
-    RuleKind.HORSE_RIDE: {
-        "min_speed_px": 2.0, "min_frames": 10, "max_gap_frames": 6,
-    },
-    RuleKind.BIKE_RIDE: {
-        "min_speed_px": 2.0, "min_frames": 10, "max_gap_frames": 6,
-    },
-    RuleKind.HANDSHAKE: {
-        "trend_epsilon": 0.1, "min_phase_frames": 5, "gap_frames": 5,
-    },
-    RuleKind.PUNCH: {
-        "trend_epsilon": 0.1, "min_phase_frames": 5, "gap_frames": 5,
-        "contact_px": 30.0,
-    },
-    RuleKind.HIGH_VOLUME_TRAFFIC: {},
-    RuleKind.PARKING_SLOT_STATUS: {"max_gap_frames": 6, "min_frames": 3},
-    RuleKind.JAYWALKING: {"min_frames": 3, "max_gap_frames": 6},
-    RuleKind.ATTRIBUTE_QUERY: {},
-}
+def _number(raw) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("must be a finite number")
+    return value
 
-REQUIRED_PARAMS = {
-    RuleKind.HIGH_VOLUME_TRAFFIC: ("region", "count_threshold"),
-    RuleKind.PARKING_SLOT_STATUS: ("slots", "overlap_threshold"),
-    RuleKind.JAYWALKING: ("region",),
-    RuleKind.ATTRIBUTE_QUERY: ("attribute", "value"),
-}
 
-# required params that are numbers; numeric defaults give their own type
-REQUIRED_NUMERIC = {"count_threshold": float, "overlap_threshold": float}
+def _integer(raw) -> int:
+    value = int(raw)   # int("12") loads; int(2.7) would truncate
+    if not isinstance(raw, str) and value != raw:
+        raise ValueError("must be a whole number")
+    return value
 
-DEFAULT_LABELS = {
-    RuleKind.FALL_DETECTION: ("person",),
-    RuleKind.HORSE_RIDE: ("person", "horse"),
-    RuleKind.BIKE_RIDE: ("person", "bike"),
-    RuleKind.HANDSHAKE: ("person",),
-    RuleKind.PUNCH: ("person",),
-    RuleKind.HIGH_VOLUME_TRAFFIC: ("car",),
-    RuleKind.PARKING_SLOT_STATUS: ("car",),
-    RuleKind.JAYWALKING: ("person",),
-    RuleKind.ATTRIBUTE_QUERY: ("car",),
-}
 
-# pair relations each kind reads on its (rider, mount) label pair's edges
-RELATION_NEEDS = {
-    RuleKind.HORSE_RIDE: frozenset({"topology", "direction"}),
-    RuleKind.BIKE_RIDE: frozenset({"topology", "direction"}),
+def _penalty(raw) -> Optional[float]:
+    if raw is None:
+        return None   # selects the BIC default
+    value = _number(raw)
+    if value < 0:
+        raise ValueError("must be >= 0")
+    return value
+
+
+def _region(raw) -> Region:
+    return Region(tuple((_number(p[0]), _number(p[1])) for p in raw))
+
+
+def _boxes(raw) -> List[BoundingBox]:
+    if not isinstance(raw, list):
+        raise TypeError("must be a list of [x, y, w, h] boxes")
+    return [BoundingBox(*[float(v) for v in box]) for box in raw]
+
+
+REQUIRED = object()   # a param default: the rule file must give the param
+
+
+class KindSpec(NamedTuple):
+    """One rule kind: its default labels, ``{param: (parser, default or
+    REQUIRED)}``, and the pair relations it reads on the edges between
+    its two labels (a kind that reads any needs two different labels)."""
+    labels: Tuple[str, ...]
+    params: Dict[str, Tuple[Callable, object]]
+    relations: FrozenSet[str] = frozenset()
+
+
+_RIDE = {"min_speed_px": (_number, 2.0), "min_frames": (_integer, 10),
+         "max_gap_frames": (_integer, 6)}
+_ARM = {"trend_epsilon": (_number, 0.1), "min_phase_frames": (_integer, 5),
+        "gap_frames": (_integer, 5)}
+_RIDE_RELATIONS = frozenset({"topology", "direction"})
+
+KINDS = {
+    RuleKind.FALL_DETECTION: KindSpec(("person",), {
+        "no_motion_speed_px": (_number, 6.0),   # the "no motion" speed threshold
+        "still_frames": (_integer, 8),
+        "gap_frames": (_integer, 45),
+        "min_aspect_jump": (_number, 1.2),      # post/pre aspect-ratio mean factor
+        "penalty": (_penalty, None),
+    }),
+    RuleKind.HORSE_RIDE: KindSpec(("person", "horse"), _RIDE, _RIDE_RELATIONS),
+    RuleKind.BIKE_RIDE: KindSpec(("person", "bike"), _RIDE, _RIDE_RELATIONS),
+    RuleKind.HANDSHAKE: KindSpec(("person",), _ARM),
+    RuleKind.PUNCH: KindSpec(("person",), {**_ARM, "contact_px": (_number, 30.0)}),
+    RuleKind.HIGH_VOLUME_TRAFFIC: KindSpec(("car",), {
+        "region": (_region, REQUIRED), "count_threshold": (_number, REQUIRED)}),
+    RuleKind.PARKING_SLOT_STATUS: KindSpec(("car",), {
+        "slots": (_boxes, REQUIRED), "overlap_threshold": (_number, REQUIRED),
+        "max_gap_frames": (_integer, 6), "min_frames": (_integer, 3)}),
+    RuleKind.JAYWALKING: KindSpec(("person",), {
+        "region": (_region, REQUIRED), "min_frames": (_integer, 3),
+        "max_gap_frames": (_integer, 6)}),
+    RuleKind.ATTRIBUTE_QUERY: KindSpec(("car",), {
+        "attribute": (str, REQUIRED), "value": (str, REQUIRED)}),
 }
 
 
@@ -127,9 +149,9 @@ class RuleSet:
         read pair relations; rules on the same label pair merge."""
         needs: Dict[Tuple[str, str], FrozenSet[str]] = {}
         for r in self.rules:
-            if r.kind in RELATION_NEEDS:
-                key = r.object_labels
-                needs[key] = needs.get(key, frozenset()) | RELATION_NEEDS[r.kind]
+            rels = KINDS[r.kind].relations
+            if rels:
+                needs[r.object_labels] = needs.get(r.object_labels, frozenset()) | rels
         return relation_needs(needs)
 
     def window_ms(self, override: Optional[int] = None) -> int:
@@ -157,94 +179,70 @@ def register_rules(configs: Sequence[dict]) -> RuleSet:
             kind = RuleKind(cfg["kind"])
         except (KeyError, ValueError, TypeError) as exc:
             raise InvalidRuleConfig(f"bad or missing rule kind: {cfg.get('kind')!r}") from exc
+        spec = KINDS[kind]
         rule_id = str(cfg.get("id") or cfg.get("rule_id") or "")
         if not rule_id:
             raise InvalidRuleConfig("rule needs an id")
         if rule_id in seen_ids:
             raise InvalidRuleConfig(f"duplicate rule id {rule_id!r}")
         seen_ids.add(rule_id)
-        window_ms = _as_number(cfg.get("window_ms", 10_000), int, "window_ms", rule_id)
+        window_ms = _parse(_integer, cfg.get("window_ms", 10_000), "window_ms", rule_id)
         if window_ms <= 0:
             raise InvalidRuleConfig(f"rule {rule_id}: window_ms must be positive")
         given = cfg.get("params") or {}
         if not isinstance(given, dict):
             raise InvalidRuleConfig(f"rule {rule_id}: params must be a mapping")
-        params = dict(DEFAULTS[kind])
-        params.update(given)
-        for key, default in DEFAULTS[kind].items():
-            if default is None and params[key] is None:
-                continue   # penalty: None selects the BIC default
-            params[key] = _as_number(params[key], int if isinstance(default, int)
-                                     else float, key, rule_id)
-        if params.get("penalty") is not None and not params["penalty"] >= 0:
-            raise InvalidRuleConfig(f"rule {rule_id}: penalty must be >= 0")
-        for key in REQUIRED_PARAMS.get(kind, ()):
-            if params.get(key) is None:
-                raise InvalidRuleConfig(f"rule {rule_id}: missing param {key!r}")
-            if key in REQUIRED_NUMERIC:
-                params[key] = _as_number(params[key], REQUIRED_NUMERIC[key],
-                                         key, rule_id)
-        if "region" in params:
-            params["region"] = _as_region(params["region"], rule_id)
-        if "slots" in params:
-            if not isinstance(params["slots"], list):
-                raise InvalidRuleConfig(f"rule {rule_id}: slots must be a list of boxes")
-            params["slots"] = [_as_box(s, rule_id) for s in params["slots"]]
-        labels = cfg.get("labels") or DEFAULT_LABELS[kind]
-        if not (isinstance(labels, (list, tuple))
-                and all(isinstance(label, str) for label in labels)):
-            raise InvalidRuleConfig(f"rule {rule_id}: labels must be a list of names")
-        labels = tuple(labels)
-        if kind in (RuleKind.HORSE_RIDE, RuleKind.BIKE_RIDE) \
-                and (len(labels) != 2 or labels[0] == labels[1]):
+        unknown = sorted(map(str, set(given) - set(spec.params)))
+        if unknown:
             raise InvalidRuleConfig(
-                f"rule {rule_id}: a ride needs two different labels, rider and mount")
+                f"rule {rule_id}: {kind.value} has no param(s) {unknown}")
+        params = {}
+        for key, (parse, default) in spec.params.items():
+            raw = given.get(key, default)
+            if raw is REQUIRED or (raw is None and default is REQUIRED):
+                raise InvalidRuleConfig(f"rule {rule_id}: missing param {key!r}")
+            params[key] = _parse(parse, raw, key, rule_id)
+        labels = cfg.get("labels", spec.labels)
+        if not (isinstance(labels, (list, tuple)) and labels
+                and all(isinstance(label, str) for label in labels)):
+            raise InvalidRuleConfig(
+                f"rule {rule_id}: labels must be a non-empty list of names")
+        labels = tuple(labels)
+        if spec.relations and (len(labels) != 2 or labels[0] == labels[1]):
+            raise InvalidRuleConfig(
+                f"rule {rule_id}: {kind.value} needs two different labels, "
+                "rider and mount")
         rules.append(EventRule(rule_id=rule_id, kind=kind, object_labels=labels,
                                window_ms=window_ms, params=params))
     return RuleSet(rules=tuple(rules))
 
 
-def _as_number(raw, cast, key: str, rule_id: str):
+def _parse(parse: Callable, raw, key: str, rule_id: str):
     try:
-        return cast(raw)
-    except (TypeError, ValueError, OverflowError) as exc:
+        return parse(raw)
+    except (TypeError, ValueError, LookupError, OverflowError,
+            InvalidRegion) as exc:
         raise InvalidRuleConfig(
-            f"rule {rule_id}: param {key!r} must be a number, got {raw!r}") from exc
-
-
-def _as_region(raw, rule_id: str) -> Region:
-    if isinstance(raw, Region):
-        return raw
-    try:
-        return Region(tuple((float(p[0]), float(p[1])) for p in raw))
-    except Exception as exc:
-        raise InvalidRuleConfig(f"rule {rule_id}: bad region: {exc}") from exc
-
-
-def _as_box(raw, rule_id: str) -> BoundingBox:
-    if isinstance(raw, BoundingBox):
-        return raw
-    try:
-        return BoundingBox(*[float(v) for v in raw])
-    except Exception as exc:
-        raise InvalidRuleConfig(f"rule {rule_id}: bad box: {exc}") from exc
+            f"rule {rule_id}: bad {key!r} = {raw!r}: {exc}") from exc
 
 
 # --- shared helpers ---
 
-def _frame_period(tag: VekgTag) -> int:
-    ts = tag.timestamps
-    if len(ts) >= 2:
-        diffs = sorted(ts[i + 1] - ts[i] for i in range(len(ts) - 1))
-        return diffs[len(diffs) // 2]
-    return 1
-
-
-def _interval_ms(tag: VekgTag, i0: int, i1: int) -> Interval:
-    """Stream-time interval covering frame ordinals [i0, i1]."""
-    period = _frame_period(tag)
-    return Interval(tag.timestamps[i0],
-                    min(tag.timestamps[i1] + period, tag.end))
+def _note(tag: VekgTag, rule: EventRule, i0: Optional[int], i1: Optional[int],
+          participants: Tuple[int, ...], evidence: dict) -> MatchNotification:
+    """The rule's notification over frame ordinals [i0, i1], in stream
+    time: from frame i0's timestamp to one median frame period past frame
+    i1, cut at the window's end.  ``i0 = i1 = None`` spans the window."""
+    if i0 is None:
+        interval = Interval(tag.start, tag.end)
+    else:
+        ts = tag.timestamps
+        gaps = sorted(b - a for a, b in zip(ts, ts[1:]))
+        period = gaps[len(gaps) // 2] if gaps else 1
+        interval = Interval(ts[i0], min(ts[i1] + period, tag.end))
+    return MatchNotification(rule_id=rule.rule_id, kind=rule.kind,
+                             interval=interval, participants=participants,
+                             evidence=evidence)
 
 
 def _runs_with_gap(flags: Sequence, max_gap: int, min_len: int):
@@ -294,7 +292,7 @@ def eval_fall(tag: VekgTag, rule: EventRule) -> List[MatchNotification]:
         seg = [float(ratio[i]) for i in idx]
         if len(seg) < 4:
             continue
-        cps = pelt_changepoints(seg, penalty=p.get("penalty"))
+        cps = pelt_changepoints(seg, penalty=p["penalty"])
         motion = motion_series(tag, track)
         still = _merge_spans(
             no_motion_span(motion, p["no_motion_speed_px"], 1), gap)
@@ -313,14 +311,11 @@ def eval_fall(tag: VekgTag, rule: EventRule) -> List[MatchNotification]:
                         None)
             if span is None:
                 continue
-            out.append(MatchNotification(
-                rule_id=rule.rule_id, kind=rule.kind,
-                interval=_interval_ms(tag, cp_abs, span.end - 1),
-                participants=(track,),
-                evidence={"changepoint_frame": cp_abs,
-                          "ratio_before": round(sum(before) / len(before), 3),
-                          "ratio_after": round(sum(after) / len(after), 3),
-                          "still_frames": span.length}))
+            out.append(_note(tag, rule, cp_abs, span.end - 1, (track,), {
+                "changepoint_frame": cp_abs,
+                "ratio_before": round(sum(before) / len(before), 3),
+                "ratio_after": round(sum(after) / len(after), 3),
+                "still_frames": span.length}))
     return out
 
 
@@ -391,11 +386,8 @@ def eval_ride(tag: VekgTag, rule: EventRule) -> List[MatchNotification]:
                 flags.append(sp > min_speed and sm > min_speed and dot > 0)
             for s, e in _runs_with_gap(flags, p["max_gap_frames"],
                                        p["min_frames"]):
-                out.append(MatchNotification(
-                    rule_id=rule.rule_id, kind=rule.kind,
-                    interval=_interval_ms(tag, s, e),
-                    participants=(person, mount),
-                    evidence={"frames": e - s + 1}))
+                out.append(_note(tag, rule, s, e, (person, mount),
+                                 {"frames": e - s + 1}))
     return out
 
 
@@ -406,53 +398,41 @@ _SIDE_KEYS = {
 }
 
 
-def _arm_angle(obj, side: str):
-    """Angle between the arm (shoulder->wrist) and the body line
-    (shoulder->hip); 0 with the arm hanging down, ~90 when horizontal."""
-    shoulder, wrist, hip = _SIDE_KEYS[side]
-    kp = obj.keypoints or {}
-    if shoulder not in kp or wrist not in kp or hip not in kp:
-        return None
-    try:
-        return geometry.segment_angle((kp[shoulder], kp[wrist]),
-                                      (kp[shoulder], kp[hip]))
-    except geometry.ZeroLengthSegment:
-        return None
-
-
 def _keypoint_series(tag: VekgTag, track: int, name: str) -> list:
-    frames = tag.nodes[track].frames
-    out = []
-    for obj in frames:
-        if obj is None or not obj.keypoints or name not in obj.keypoints:
-            out.append(X)
-        else:
-            out.append(obj.keypoints[name])
-    return out
+    return [X if obj is None or not obj.keypoints or name not in obj.keypoints
+            else obj.keypoints[name] for obj in tag.nodes[track].frames]
 
 
-def _angle_series(tag: VekgTag, track: int, side: str) -> list:
-    out = []
-    for obj in tag.nodes[track].frames:
-        if obj is None:
-            out.append(X)
-            continue
-        ang = _arm_angle(obj, side)
-        out.append(X if ang is None else ang)
-    return out
+def _arm_series(tag: VekgTag, tracks: Sequence[int]) -> Dict[int, Dict[str, tuple]]:
+    """Per track, ``{side: (wrist series, arm-angle series)}`` for each arm
+    side whose shoulder, wrist and hip appear together in some frame.
 
-
-def _has_side_keypoints(tag: VekgTag, track: int, side: str) -> bool:
-    names = _SIDE_KEYS[side]
-    return any(obj is not None and obj.keypoints
-               and all(n in obj.keypoints for n in names)
-               for obj in tag.nodes[track].frames)
-
-
-def _sides_with_keypoints(tag: VekgTag, tracks: Sequence[int]) -> Dict[int, Set[str]]:
-    """Per track, the arm sides whose keypoints appear in some frame."""
-    return {t: {side for side in _SIDE_KEYS if _has_side_keypoints(tag, t, side)}
-            for t in tracks}
+    The angle is between the arm (shoulder->wrist) and the body line
+    (shoulder->hip): 0 with the arm hanging down, ~90 when horizontal.
+    """
+    arms: Dict[int, Dict[str, tuple]] = {}
+    for track in tracks:
+        kps = [obj.keypoints if obj is not None else None
+               for obj in tag.nodes[track].frames]
+        arms[track] = sides = {}
+        for side, (shoulder, wrist, hip) in _SIDE_KEYS.items():
+            whole = [kp and shoulder in kp and wrist in kp and hip in kp
+                     for kp in kps]
+            if not any(whole):
+                continue
+            wrists, angles = [], []
+            for kp, arm in zip(kps, whole):
+                wrists.append(kp[wrist] if kp and wrist in kp else X)
+                angle = X
+                if arm:
+                    try:
+                        angle = geometry.segment_angle((kp[shoulder], kp[wrist]),
+                                                       (kp[shoulder], kp[hip]))
+                    except geometry.ZeroLengthSegment:
+                        pass
+                angles.append(angle)
+            sides[side] = (wrists, angles)
+    return arms
 
 
 def _two_phase(beta: list, theta_list: List[list], epsilon: float,
@@ -490,24 +470,20 @@ def eval_handshake(tag: VekgTag, rule: EventRule) -> List[MatchNotification]:
     eps = p["trend_epsilon"]
     min_phase = p["min_phase_frames"]
     persons = _tracks_with_label(tag, rule.object_labels)
-    sides = _sides_with_keypoints(tag, persons)
+    arms = _arm_series(tag, persons)
     skipped = 0
     out = []
-    for ai in range(len(persons)):
-        for bi in range(ai + 1, len(persons)):
-            u, v = persons[ai], persons[bi]
-            for side in ("right", "left"):
-                if side not in sides[u] or side not in sides[v]:
+    for ai, u in enumerate(persons):
+        for v in persons[ai + 1:]:
+            for side in _SIDE_KEYS:
+                if side not in arms[u] or side not in arms[v]:
                     skipped += 1
                     continue
-                wrist = _SIDE_KEYS[side][1]
-                wu = _keypoint_series(tag, u, wrist)
-                wv = _keypoint_series(tag, v, wrist)
+                wu, t1 = arms[u][side]
+                wv, t2 = arms[v][side]
                 beta = [geometry.point_distance(a, b)
                         if a is not X and b is not X else X
                         for a, b in zip(wu, wv)]
-                t1 = _angle_series(tag, u, side)
-                t2 = _angle_series(tag, v, side)
                 hit = _two_phase(beta, [t1, t2], eps, min_phase)
                 if hit is None:
                     continue
@@ -516,11 +492,8 @@ def eval_handshake(tag: VekgTag, rule: EventRule) -> List[MatchNotification]:
                 vals = [t for t in t1[i0:i1 + 1] + t2[i0:i1 + 1] if t is not X]
                 if not vals or not all(0.0 < t < 90.0 for t in vals):
                     continue
-                out.append(MatchNotification(
-                    rule_id=rule.rule_id, kind=rule.kind,
-                    interval=_interval_ms(tag, i0, i1),
-                    participants=(u, v),
-                    evidence={"side": side, "min_wrist_px": round(beta[m], 2)}))
+                out.append(_note(tag, rule, i0, i1, (u, v), {
+                    "side": side, "min_wrist_px": round(beta[m], 2)}))
     if skipped:
         log.info("handshake %s: skipped %d pair-side(s) missing keypoints",
                  rule.rule_id, skipped)
@@ -534,41 +507,39 @@ def eval_punch(tag: VekgTag, rule: EventRule) -> List[MatchNotification]:
     min_phase = p["min_phase_frames"]
     contact = p["contact_px"]
     persons = _tracks_with_label(tag, rule.object_labels)
-    sides = _sides_with_keypoints(tag, persons)
+    arms = _arm_series(tag, persons)
+    shoulders: Dict[int, list] = {}   # victim -> [(right, left) per frame]
     skipped = 0
     out = []
     for attacker in persons:
         for victim in persons:
             if attacker == victim:
                 continue
-            for side in ("right", "left"):
-                if side not in sides[attacker]:
+            for side in _SIDE_KEYS:
+                if side not in arms[attacker]:
                     skipped += 1
                     continue
-                wrist = _SIDE_KEYS[side][1]
-                wa = _keypoint_series(tag, attacker, wrist)
-                rs = _keypoint_series(tag, victim, "right_shoulder")
-                ls = _keypoint_series(tag, victim, "left_shoulder")
+                if victim not in shoulders:
+                    shoulders[victim] = list(zip(
+                        _keypoint_series(tag, victim, "right_shoulder"),
+                        _keypoint_series(tag, victim, "left_shoulder")))
+                wa, theta = arms[attacker][side]
                 beta = []
-                for w, r, l in zip(wa, rs, ls):
+                for w, (r, l) in zip(wa, shoulders[victim]):
                     if w is X or (r is X and l is X):
                         beta.append(X)
                         continue
                     ds = [geometry.point_distance(w, s)
                           for s in (r, l) if s is not X]
                     beta.append(min(ds))
-                theta = _angle_series(tag, attacker, side)
                 hit = _two_phase(beta, [theta], eps, min_phase)
                 if hit is None:
                     continue
                 i0, m, i1 = hit
                 if beta[m] > contact:
                     continue   # never got near the shoulder: not a punch
-                out.append(MatchNotification(
-                    rule_id=rule.rule_id, kind=rule.kind,
-                    interval=_interval_ms(tag, i0, i1),
-                    participants=(attacker, victim),
-                    evidence={"side": side, "min_reach_px": round(beta[m], 2)}))
+                out.append(_note(tag, rule, i0, i1, (attacker, victim), {
+                    "side": side, "min_reach_px": round(beta[m], 2)}))
     if skipped:
         log.info("punch %s: skipped %d pair-side(s) whose attacker lacks "
                  "keypoints", rule.rule_id, skipped)
@@ -593,11 +564,8 @@ def eval_traffic(tag: VekgTag, rule: EventRule) -> List[MatchNotification]:
     mean = total / tag.frame_count
     if mean <= threshold:
         return []
-    return [MatchNotification(
-        rule_id=rule.rule_id, kind=rule.kind,
-        interval=Interval(tag.start, tag.end),
-        participants=tuple(sorted(seen)),
-        evidence={"mean_count": round(mean, 3), "threshold": threshold})]
+    return [_note(tag, rule, None, None, tuple(sorted(seen)),
+                  {"mean_count": round(mean, 3), "threshold": threshold})]
 
 
 def eval_parking(tag: VekgTag, rule: EventRule) -> List[MatchNotification]:
@@ -637,12 +605,8 @@ def eval_parking(tag: VekgTag, rule: EventRule) -> List[MatchNotification]:
                                    p["min_frames"]):
             occ = [t for t in occupant[s:e + 1] if t is not None]
             track = max(set(occ), key=occ.count)
-            out.append(MatchNotification(
-                rule_id=rule.rule_id, kind=rule.kind,
-                interval=_interval_ms(tag, s, e),
-                participants=(track,),
-                evidence={"slot": slot_idx,
-                          "occupancy": round((e - s + 1) / nframes, 3)}))
+            out.append(_note(tag, rule, s, e, (track,), {
+                "slot": slot_idx, "occupancy": round((e - s + 1) / nframes, 3)}))
     return out
 
 
@@ -660,11 +624,7 @@ def eval_jaywalk(tag: VekgTag, rule: EventRule) -> List[MatchNotification]:
                 flags.append(geometry.inside_region(obj.bbox, region))
         for s, e in _runs_with_gap(flags, p["max_gap_frames"],
                                    p["min_frames"]):
-            out.append(MatchNotification(
-                rule_id=rule.rule_id, kind=rule.kind,
-                interval=_interval_ms(tag, s, e),
-                participants=(track,),
-                evidence={"frames": e - s + 1}))
+            out.append(_note(tag, rule, s, e, (track,), {"frames": e - s + 1}))
     return out
 
 
@@ -675,8 +635,8 @@ def eval_attribute(tag: VekgTag, rule: EventRule,
     ``seen_tracks`` carries already-notified tracks across windows so a
     track only fires on its first appearance.
     """
-    key = str(rule.params["attribute"])
-    value = str(rule.params["value"]).lower()
+    key = rule.params["attribute"]
+    value = rule.params["value"].lower()
     out = []
     for track in _tracks_with_label(tag, rule.object_labels):
         if seen_tracks is not None and track in seen_tracks:
@@ -695,11 +655,7 @@ def eval_attribute(tag: VekgTag, rule: EventRule,
             continue
         if seen_tracks is not None:
             seen_tracks.add(track)
-        out.append(MatchNotification(
-            rule_id=rule.rule_id, kind=rule.kind,
-            interval=_interval_ms(tag, first, last),
-            participants=(track,),
-            evidence={key: value}))
+        out.append(_note(tag, rule, first, last, (track,), {key: value}))
     return out
 
 

@@ -98,6 +98,26 @@ class TestRun:
         notes = [json.loads(l) for l in out.read_text().splitlines()]
         assert len(notes) >= 1
 
+    @pytest.mark.parametrize("line", [
+        '{"start_ms":0,"end_ms":100}',
+        '{"kind":"fall_detection","start_ms":100,"end_ms":100}',
+        '{ not json',
+        '{"kind":"fall_detection","start_ms":"0","end_ms":100}',
+        '["fall_detection",0,100]',
+    ], ids=["missing-kind", "empty-interval", "not-json", "start-string",
+            "json-list"])
+    def test_bad_truth_file_exits_2_before_the_run(self, fall_files,
+                                                   tmp_path, line):
+        stream, truth, rules = fall_files
+        bad = tmp_path / "bad.truth"
+        bad.write_text(truth.read_text() + line + "\n")
+        out = tmp_path / "t.jsonl"
+        rc = main(["--quiet", "run", "--input", str(stream),
+                   "--rules", str(rules), "--out", str(out),
+                   "--truth", str(bad)])
+        assert rc == EXIT_INPUT
+        assert not out.exists()   # rejected before any output was opened
+
     def test_window_override_mismatch(self, fall_files, tmp_path):
         stream, _, rules = fall_files
         out = tmp_path / "w.jsonl"
@@ -218,9 +238,19 @@ class TestRuleParams:
         {"id": "r", "kind": "horse_ride", "labels": ["person"]},
         {"id": "r", "kind": "bike_ride", "labels": ["person", "bike", "horse"]},
         {"id": "r", "kind": "horse_ride", "labels": ["person", "person"]},
+        {"id": "t", "kind": "high_volume_traffic",
+         "params": {"region": [[0, 0], [50, 0], [50, 50]],
+                    "count_threshold": float("nan")}},
+        {"id": "r", "kind": "horse_ride", "labels": []},
+        {"id": "f", "kind": "fall_detection", "labels": ""},
+        {"id": "f", "kind": "fall_detection", "window_ms": 1.9},
+        {"id": "f", "kind": "fall_detection", "params": {"still_frames": 2.7}},
+        {"id": "f", "kind": "fall_detection", "params": {"still_frame": 3}},
     ], ids=["negative-penalty", "labels-int", "window-string", "slots-int",
             "threshold-string", "ride-one-label", "ride-three-labels",
-            "ride-same-labels"])
+            "ride-same-labels", "threshold-nan", "labels-empty",
+            "labels-empty-string", "window-fraction", "int-param-fraction",
+            "unknown-param"])
     def test_bad_rule_config_exits_2(self, tmp_path, rule):
         rc, _ = self.run_with(tmp_path, [(1, "person", [10, 10, 40, 90])], rule)
         assert rc == EXIT_INPUT

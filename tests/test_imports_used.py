@@ -5,6 +5,8 @@ linter ships with the project.
   ``__init__`` is skipped: its imports are the package's re-exports.
 - No module holds an ``assert`` statement: ``python -O`` strips them, so
   a check the program relies on must raise an exception of its own.
+- Every module-level private (``_name``) function, class or constant is
+  read somewhere in the package, so a retired helper cannot linger.
 """
 
 import ast
@@ -54,3 +56,49 @@ def test_gate_sees_an_assert():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_asserts(path):
     assert assert_lines(path.read_text(encoding="utf-8")) == []
+
+
+def private_definitions(source: str):
+    """``{name: line}`` of the module-level ``_name`` bindings (not dunders)."""
+    found = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        found.update((name, node.lineno) for name in names
+                     if name.startswith("_") and not name.startswith("__"))
+    return found
+
+
+def names_read(source: str):
+    """Every name a module reads: loaded names, attributes and imports."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def unread_privates(sources):
+    read = set().union(*(names_read(s) for s in sources))
+    return sorted(name for s in sources for name in private_definitions(s)
+                  if name not in read)
+
+
+def test_gate_sees_an_unread_private():
+    assert unread_privates([
+        "_A = 1\n_b, _c = 2, 3\ndef _f():\n    return _A\nclass _K: pass\n",
+        "from m import _K\nprint(_b)\n"]) == ["_c", "_f"]
+
+
+def test_no_unread_private_names():
+    assert unread_privates([p.read_text(encoding="utf-8") for p in SOURCES]) == []

@@ -143,6 +143,43 @@ def _mixed_labels_scene() -> synth.Scenario:
                           noise_sigma_px=1.0, dropout_prob=0.05, seed=17)
 
 
+def _keypoint_scene() -> synth.Scenario:
+    """Four persons with different arm keypoints under handshake, punch
+    and an attribute query.
+
+    Persons 1 and 2 have both arms and shake right hands.  Person 3 has
+    only the left arm (shoulder, wrist, hip), which reaches for person
+    1's left shoulder; person 4 has no keypoints at all.  So every pair
+    side is skipped, read or fires somewhere, and a victim may lack one
+    or both shoulders.  Jitter and dropout punch X slots into each
+    series.
+    """
+    windows = 4
+    dur = windows * synth.W
+    left_arm = {"left_shoulder": ((0, 580, 400),), "left_hip": ((0, 582, 520),),
+                "left_wrist": synth._shake_wrists(windows, (590, 512), (775, 402),
+                                                  peak_at=4000)}
+    actors = (
+        synth._person_a(windows, (940, 412)),
+        synth._person_b(windows, (960, 412)),
+        synth.ActorScript(track_id=3, label="person",
+                          bbox_keys=((0, 540, 380, 100, 260),),
+                          attrs={"color": "blue"}, keypoint_keys=left_arm),
+        synth.ActorScript(track_id=4, label="person",
+                          bbox_keys=((0, 1400, 380, 100, 260),),
+                          attrs={"color": "Red"}),
+    )
+    rules = ({"id": "shake", "kind": "handshake", "window_ms": synth.W},
+             {"id": "punch", "kind": "punch", "window_ms": synth.W},
+             {"id": "red_person", "kind": "attribute_query", "window_ms": synth.W,
+              "labels": ["person"],
+              "params": {"attribute": "color", "value": "red"}})
+    return synth.Scenario(name="keypoints", duration_ms=dur, fps=30,
+                          resolution=synth.RES, actors=actors,
+                          rule_configs=rules, window_ms=synth.W,
+                          noise_sigma_px=0.5, dropout_prob=0.03, seed=29)
+
+
 def _cases():
     """(case id, scenario) for every run whose output is pinned."""
     cases = [(sc.name, sc) for sc in synth.builtin_scenarios()]
@@ -154,6 +191,7 @@ def _cases():
               for name in ("fall_positive", "fall_negative")]
     cases.append(("dense", _dense_scene()))
     cases.append(("mixed_labels", _mixed_labels_scene()))
+    cases.append(("keypoints", _keypoint_scene()))
     return cases
 
 
@@ -220,6 +258,7 @@ DIGESTS = {
     'fall_negative_noisy_23': ('e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '32ca684a215b3d0a8b86d20b9afae5d8fc42caefd6cca383b2159d441e612000'),
     'dense': ('7dd214451b1930664860a5d1d0554bb4141483fb9843e8485b4c5559ceaf3643', 'e794400a90e62f0c5dfe03f03e5ec9a037e615aa4649cfe007024e2439145ee7'),
     'mixed_labels': ('4d6c6620cb9ee9685b8499556bfa3e2036a1a3877b66c981edb6e9c8d0ab693a', '9046dd71a1551769c7934d014eb52ab29350be964e642f460bdd51bf90d54a54'),
+    'keypoints': ('d7065a95d84c3a2734b7bacee0c2fe2d1e4f49cf7e68673a5e193a738e3d6ab2', '2227061ff444dcb15f1ff98d2a74f9bc3f26919a1f1c834f6a2b5a36ea778be0'),
 }
 
 
@@ -265,6 +304,21 @@ def test_mixed_labels_scene_fires_only_labelled_rides(tmp_path):
     assert fired == {("pony_ride", (1, 11)), ("pony_ride", (6, 16)),
                      ("horse_ride", (5, 15)), ("rider_bike", (2, 12)),
                      ("rider_bike_long", (2, 12))}
+
+
+def test_keypoint_scene_fires_each_rule(tmp_path):
+    """Handshake, punch and the attribute query each fire on their pair."""
+    sc = _keypoint_scene()
+    synth.generate(sc, str(tmp_path / "k.jsonl"), str(tmp_path / "k.truth"))
+    rules = tmp_path / "k.yaml"
+    rules.write_text(yaml.safe_dump({"rules": [dict(r) for r in sc.rule_configs]}))
+    out = tmp_path / "k.out"
+    assert main(["--quiet", "run", "--input", str(tmp_path / "k.jsonl"),
+                 "--rules", str(rules), "--out", str(out)]) == EXIT_OK
+    fired = {(n["rule_id"], tuple(n["participants"]), n["evidence"].get("side"))
+             for n in map(json.loads, out.read_text().splitlines())}
+    assert fired == {("shake", (1, 2), "right"), ("punch", (3, 1), "left"),
+                     ("red_person", (4,), None)}
 
 
 if __name__ == "__main__":

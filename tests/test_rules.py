@@ -361,6 +361,15 @@ class TestAttribute:
         assert len(eval_attribute(tag, rule, seen)) == 1
         assert eval_attribute(tag, rule, seen) == []
 
+    def test_attribute_named_like_a_parameter(self):
+        # the evidence key comes from the rule file and may be any name
+        frames = [frame(i, i * 33, [obj(1, "car", (0, 0, 9, 9),
+                                        attrs={"rule": "Red"})])
+                  for i in range(5)]
+        rule = one_rule("attribute_query", {"attribute": "rule", "value": "red"})
+        notes = eval_attribute(tag_of(frames), rule)
+        assert [n.evidence for n in notes] == [{"rule": "red"}]
+
 
 class TestMatcherProperties:
     def _run(self, name):
