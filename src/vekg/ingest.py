@@ -10,6 +10,13 @@ frame object per line.
 
 Coordinates are pixels in the declared resolution.  Timestamps are
 integer milliseconds since stream start and must strictly increase.
+
+``parse_frame`` is the one parser: a single validating pass over the
+decoded line reads each field once, checks its exact JSON type there,
+makes the records' own checks in the same loop, and fills the slotted
+records (``BoundingBox``, ``ObjectNode``, ``FrameDetections``) without
+running their constructors again.  The constructors keep those checks
+for every other caller.
 """
 
 from __future__ import annotations
@@ -18,51 +25,71 @@ import contextlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
 from .errors import MalformedRecord, NonMonotonicTime, SchemaViolation, SourceUnavailable
-from .geometry import BoundingBox
+from .geometry import BoundingBox, SlotRecord
 
 STREAM_FORMAT = "vekg-detections"
 STREAM_VERSION = 1
 
-@dataclass(frozen=True)
-class ObjectNode:
-    """One detected object instance in one frame."""
 
-    track_id: int
-    label: str
-    confidence: float
-    bbox: BoundingBox
-    attributes: Dict[str, str] = field(default_factory=dict)
-    keypoints: Optional[Dict[str, Tuple[float, float]]] = None
+class ObjectNode(SlotRecord):
+    """One detected object instance in one frame.
 
-    def __post_init__(self):
-        if not 0.0 <= self.confidence <= 1.0:
+    The constructor raises SchemaViolation unless the confidence lies in
+    [0, 1] and every keypoint is finite.
+    """
+
+    __slots__ = ("track_id", "label", "confidence", "bbox", "attributes", "keypoints")
+
+    def __init__(self, track_id: int, label: str, confidence: float,
+                 bbox: BoundingBox, attributes: Optional[Dict[str, str]] = None,
+                 keypoints: Optional[Dict[str, Tuple[float, float]]] = None):
+        if not 0.0 <= confidence <= 1.0:
             raise SchemaViolation(
-                f"confidence {self.confidence} outside [0, 1] for track {self.track_id}")
-        if self.keypoints is not None:
-            for name, (x, y) in self.keypoints.items():
+                f"confidence {confidence} outside [0, 1] for track {track_id}")
+        if keypoints is not None:
+            for name, (x, y) in keypoints.items():
                 if not (math.isfinite(x) and math.isfinite(y)):
                     raise SchemaViolation(f"non-finite keypoint {name!r}")
+        self.track_id = track_id
+        self.label = label
+        self.confidence = confidence
+        self.bbox = bbox
+        self.attributes = {} if attributes is None else attributes
+        self.keypoints = keypoints
 
 
-@dataclass(frozen=True)
-class FrameDetections:
-    """All detections of one frame, with its stream timestamp."""
+class FrameDetections(SlotRecord):
+    """All detections of one frame, with its stream timestamp.
 
-    frame_index: int
-    timestamp: int
-    objects: Tuple[ObjectNode, ...]
+    The constructor raises SchemaViolation on a negative frame index or a
+    track that appears twice.
+    """
 
-    def __post_init__(self):
-        if self.frame_index < 0:
+    __slots__ = ("frame_index", "timestamp", "objects")
+
+    def __init__(self, frame_index: int, timestamp: int,
+                 objects: Tuple[ObjectNode, ...]):
+        if frame_index < 0:
             raise SchemaViolation("frame_index must be non-negative")
+        _check_tracks(frame_index, objects, {o.track_id for o in objects})
+        self.frame_index = frame_index
+        self.timestamp = timestamp
+        self.objects = objects
+
+
+def _check_tracks(frame_index: int, objects, tracks: set) -> None:
+    """Raise unless ``tracks``, the set of the objects' track ids, has one
+    id per object."""
+    if len(tracks) < len(objects):
         seen = set()
-        for o in self.objects:
+        for o in objects:
             if o.track_id in seen:
-                raise SchemaViolation(f"duplicate track_id {o.track_id} in frame {self.frame_index}")
+                raise SchemaViolation(
+                    f"duplicate track_id {o.track_id} in frame {frame_index}")
             seen.add(o.track_id)
 
 
@@ -72,79 +99,16 @@ class StreamHeader:
     version: int = STREAM_VERSION
 
 
-def _require(obj: dict, key: str, line_no: Optional[int] = None):
-    if key not in obj:
-        where = f" (line {line_no})" if line_no is not None else ""
-        raise SchemaViolation(f"missing required field {key!r}{where}")
-    return obj[key]
-
-
-def _parse_object(raw: dict) -> ObjectNode:
-    if not isinstance(raw, dict):
-        raise SchemaViolation("each object must be a JSON object")
-    bbox = _require(raw, "bbox")
-    if not (isinstance(bbox, list) and len(bbox) == 4):
-        raise SchemaViolation("bbox must be a [x, y, w, h] list")
-    x, y, w, h = bbox
-    # exact type tests: JSON true/false parse to bool, a subclass of int
-    if (type(x) not in (int, float) or type(y) not in (int, float)
-            or type(w) not in (int, float) or type(h) not in (int, float)):
-        raise SchemaViolation(f"bbox must be four numbers, got {bbox!r}")
-    try:
-        box = BoundingBox(float(x), float(y), float(w), float(h))
-    except (ValueError, OverflowError) as exc:
-        raise SchemaViolation(str(exc)) from exc
-    keypoints = None
-    raw_kp = raw.get("keypoints")
-    if raw_kp:
-        if not isinstance(raw_kp, dict):
-            raise SchemaViolation("keypoints must be an object of name -> [x, y]")
-        keypoints = {}
-        for k, v in raw_kp.items():
-            # exact type tests, as for features: no bools, no strings
-            if not (type(v) is list and len(v) >= 2
-                    and type(v[0]) in (int, float)
-                    and type(v[1]) in (int, float)):
-                raise SchemaViolation(
-                    f"keypoint {k!r} must be an [x, y] list of numbers")
-            try:
-                keypoints[str(k)] = (float(v[0]), float(v[1]))
-            except OverflowError as exc:
-                raise SchemaViolation(f"bad keypoint {k!r}: {exc}") from exc
-    # checked, then ignored: no rule reads appearance features
-    raw_features = raw.get("features")
-    if raw_features and not (isinstance(raw_features, list)
-                             and all(type(v) in (int, float) for v in raw_features)):
-        raise SchemaViolation("features must be a list of numbers")
-    track = _require(raw, "track")
-    conf = _require(raw, "conf")
-    # exact type tests: JSON true/false parse to bool, a subclass of int
-    if type(track) is not int:
-        raise SchemaViolation(f"track must be an integer, got {track!r}")
-    if type(conf) not in (int, float):
-        raise SchemaViolation(f"conf must be a number, got {conf!r}")
-    try:
-        conf = float(conf)
-    except OverflowError as exc:
-        raise SchemaViolation(f"bad conf: {exc}") from exc
-    attrs = raw.get("attrs", {})
-    if not isinstance(attrs, dict):
-        raise SchemaViolation("attrs must be an object")
-    return ObjectNode(
-        track_id=track,
-        label=str(_require(raw, "label")),
-        confidence=conf,
-        bbox=box,
-        attributes={str(k): str(v) for k, v in attrs.items()},
-        keypoints=keypoints,
-    )
-
-
 def _loads(text: str, what: str):
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:   # JSONDecodeError is a ValueError
         raise MalformedRecord(f"{what}: {exc}") from exc
+
+
+_NUMBER = (int, float)   # exact types: JSON true/false parse to bool, a subclass of int
+_INF = math.inf
+_new = object.__new__    # a record without its constructor, whose checks parse_frame makes
 
 
 def parse_frame(record: str,
@@ -153,20 +117,94 @@ def parse_frame(record: str,
 
     ``prev`` is the (frame_index, timestamp) of the previous frame, used
     to enforce strict monotonicity.
+
+    One pass over the decoded record: each field is read once and its
+    exact type checked where it is read, together with the checks the
+    records' constructors make (finite values, ``w, h > 0``, confidence
+    in [0, 1], one object per track), so the records are built without
+    running those constructors again.
     """
     raw = _loads(record, "not valid JSON")
-    if not isinstance(raw, dict):
+    if type(raw) is not dict:
         raise MalformedRecord("frame record must be a JSON object")
-    frame_index = _require(raw, "frame")
-    ts = _require(raw, "ts_ms")
-    # exact type tests: JSON true/false parse to bool, a subclass of int
+    try:
+        frame_index = raw["frame"]
+        ts = raw["ts_ms"]
+        raw_objects = raw["objects"]
+    except KeyError as exc:
+        raise SchemaViolation(f"missing required field {exc}") from None
     if type(frame_index) is not int or type(ts) is not int:
         raise SchemaViolation(
             f"frame and ts_ms must be integers, got {frame_index!r} and {ts!r}")
-    raw_objects = _require(raw, "objects")
-    if not isinstance(raw_objects, list):
+    if type(raw_objects) is not list:
         raise SchemaViolation("objects must be a list")
-    objects = tuple(_parse_object(o) for o in raw_objects)
+    objects = []
+    tracks = set()
+    try:
+        for o in raw_objects:
+            if type(o) is not dict:
+                raise SchemaViolation("each object must be a JSON object")
+            try:
+                track = o["track"]
+                label = o["label"]
+                conf = o["conf"]
+                bbox = o["bbox"]
+            except KeyError as exc:
+                raise SchemaViolation(f"missing required field {exc}") from None
+            if type(track) is not int:
+                raise SchemaViolation(f"track must be an integer, got {track!r}")
+            if type(conf) not in _NUMBER:
+                raise SchemaViolation(f"conf must be a number, got {conf!r}")
+            conf = float(conf)
+            if not 0.0 <= conf <= 1.0:
+                raise SchemaViolation(f"confidence {conf} outside [0, 1] for track {track}")
+            if type(bbox) is not list or len(bbox) != 4:
+                raise SchemaViolation("bbox must be a [x, y, w, h] list")
+            x, y, w, h = bbox
+            if (type(x) not in _NUMBER or type(y) not in _NUMBER
+                    or type(w) not in _NUMBER or type(h) not in _NUMBER):
+                raise SchemaViolation(f"bbox must be four numbers, got {bbox!r}")
+            x = float(x)
+            y = float(y)
+            w = float(w)
+            h = float(h)
+            if not (-_INF < x < _INF and -_INF < y < _INF
+                    and 0.0 < w < _INF and 0.0 < h < _INF):
+                raise SchemaViolation(
+                    f"bbox must be finite with positive width and height, got {bbox!r}")
+            keypoints = o.get("keypoints")
+            if keypoints:
+                keypoints = _parse_keypoints(keypoints)
+            else:
+                keypoints = None
+            # checked, then ignored: no rule reads appearance features
+            features = o.get("features")
+            if features and not (type(features) is list
+                                 and all(type(v) in _NUMBER for v in features)):
+                raise SchemaViolation("features must be a list of numbers")
+            if "attrs" in o:
+                attrs = o["attrs"]
+                if type(attrs) is not dict:
+                    raise SchemaViolation("attrs must be an object")
+                attrs = {k: str(v) for k, v in attrs.items()}
+            else:
+                attrs = {}
+            tracks.add(track)
+            box = _new(BoundingBox)
+            box.x = x
+            box.y = y
+            box.w = w
+            box.h = h
+            node = _new(ObjectNode)
+            node.track_id = track
+            node.label = str(label)
+            node.confidence = conf
+            node.bbox = box
+            node.attributes = attrs
+            node.keypoints = keypoints
+            objects.append(node)
+    except OverflowError as exc:   # float() of an integer beyond double range
+        raise SchemaViolation(f"number out of range: {exc}") from exc
     if prev is not None:
         prev_index, prev_ts = prev
         if ts <= prev_ts:
@@ -175,7 +213,35 @@ def parse_frame(record: str,
         if frame_index <= prev_index:
             raise NonMonotonicTime(
                 f"frame index {frame_index} not after previous {prev_index}")
-    return FrameDetections(frame_index=frame_index, timestamp=ts, objects=objects)
+    # after the time checks: a record out of order is a NonMonotonicTime even
+    # when it also has a negative index or a repeated track
+    if frame_index < 0:
+        raise SchemaViolation("frame_index must be non-negative")
+    _check_tracks(frame_index, objects, tracks)
+    frame = _new(FrameDetections)
+    frame.frame_index = frame_index
+    frame.timestamp = ts
+    frame.objects = tuple(objects)
+    return frame
+
+
+def _parse_keypoints(raw) -> Dict[str, Tuple[float, float]]:
+    """``{name: (x, y)}`` from a non-empty keypoints object; every
+    coordinate a finite number."""
+    if type(raw) is not dict:
+        raise SchemaViolation("keypoints must be an object of name -> [x, y]")
+    keypoints = {}
+    for name, v in raw.items():
+        if not (type(v) is list and len(v) >= 2
+                and type(v[0]) in _NUMBER and type(v[1]) in _NUMBER):
+            raise SchemaViolation(
+                f"keypoint {name!r} must be an [x, y] list of numbers")
+        x = float(v[0])
+        y = float(v[1])
+        if not (-_INF < x < _INF and -_INF < y < _INF):
+            raise SchemaViolation(f"non-finite keypoint {name!r}")
+        keypoints[name] = (x, y)
+    return keypoints
 
 
 def serialize_frame(frame: FrameDetections) -> str:
@@ -207,7 +273,7 @@ def parse_header(line: str) -> StreamHeader:
     raw = _loads(line, "bad header")
     if not isinstance(raw, dict) or raw.get("format") != STREAM_FORMAT:
         raise MalformedRecord("first line must be a stream header")
-    res = _require(raw, "resolution")
+    res = raw.get("resolution")
     if not (isinstance(res, list) and len(res) == 2
             and type(res[0]) is int and type(res[1]) is int):
         raise SchemaViolation("resolution must be two integers [width, height]")

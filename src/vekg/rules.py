@@ -2,8 +2,8 @@
 
 Stateful rules evaluate over an aggregated window graph (VekgTag);
 the attribute query is stateless and fires once per matching track.
-Evaluators are pure: distinct rules may score the same tag in
-parallel, notifications are merged deterministically afterwards.
+The Matcher runs the rules one after another on each window's tag and
+sorts their notifications into one deterministic order.
 """
 
 from __future__ import annotations
@@ -111,8 +111,7 @@ class KindSpec(NamedTuple):
 
 _RIDE = {"min_speed_px": (_number, 2.0), "min_frames": (_integer, 10),
          "max_gap_frames": (_integer, 6)}
-_ARM = {"trend_epsilon": (_number, 0.1), "min_phase_frames": (_integer, 5),
-        "gap_frames": (_integer, 5)}
+_ARM = {"trend_epsilon": (_number, 0.1), "min_phase_frames": (_integer, 5)}
 _RIDE_RELATIONS = frozenset({"topology", "direction"})
 
 KINDS = {
@@ -237,9 +236,7 @@ def _note(tag: VekgTag, rule: EventRule, i0: Optional[int], i1: Optional[int],
         interval = Interval(tag.start, tag.end)
     else:
         ts = tag.timestamps
-        gaps = sorted(b - a for a, b in zip(ts, ts[1:]))
-        period = gaps[len(gaps) // 2] if gaps else 1
-        interval = Interval(ts[i0], min(ts[i1] + period, tag.end))
+        interval = Interval(ts[i0], min(ts[i1] + tag.frame_period, tag.end))
     return MatchNotification(rule_id=rule.rule_id, kind=rule.kind,
                              interval=interval, participants=participants,
                              evidence=evidence)

@@ -18,6 +18,7 @@ pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from .errors import RelationVocabularyMismatch, UnknownNode, UnknownRelation
@@ -87,6 +88,14 @@ class VekgTag:
     @property
     def frame_count(self) -> int:
         return len(self.timestamps)
+
+    @cached_property
+    def frame_period(self) -> int:
+        """The median gap between consecutive frame timestamps (the upper
+        median for an even count), 1 for a window of one frame."""
+        ts = self.timestamps
+        gaps = sorted(b - a for a, b in zip(ts, ts[1:]))
+        return gaps[len(gaps) // 2] if gaps else 1
 
     def dump(self) -> str:
         lines = [f"tag [{self.start},{self.end}) frames={self.frame_count} "

@@ -246,11 +246,13 @@ class TestRuleParams:
         {"id": "f", "kind": "fall_detection", "window_ms": 1.9},
         {"id": "f", "kind": "fall_detection", "params": {"still_frames": 2.7}},
         {"id": "f", "kind": "fall_detection", "params": {"still_frame": 3}},
+        {"id": "h", "kind": "handshake", "params": {"gap_frames": 5}},
+        {"id": "p", "kind": "punch", "params": {"gap_frames": 50}},
     ], ids=["negative-penalty", "labels-int", "window-string", "slots-int",
             "threshold-string", "ride-one-label", "ride-three-labels",
             "ride-same-labels", "threshold-nan", "labels-empty",
             "labels-empty-string", "window-fraction", "int-param-fraction",
-            "unknown-param"])
+            "unknown-param", "handshake-gap-frames", "punch-gap-frames"])
     def test_bad_rule_config_exits_2(self, tmp_path, rule):
         rc, _ = self.run_with(tmp_path, [(1, "person", [10, 10, 40, 90])], rule)
         assert rc == EXIT_INPUT

@@ -1,6 +1,7 @@
 """Stream parsing, validation, and round-trip tests."""
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -8,8 +9,10 @@ from hypothesis import strategies as st
 
 from vekg.errors import (MalformedRecord, NonMonotonicTime, SchemaViolation,
                          SourceUnavailable, VekgError)
-from vekg.ingest import (StreamHeader, open_stream, parse_frame, parse_header,
-                         serialize_frame, serialize_header, write_stream)
+from vekg.geometry import BoundingBox
+from vekg.ingest import (FrameDetections, ObjectNode, StreamHeader, open_stream,
+                         parse_frame, parse_header, serialize_frame,
+                         serialize_header, write_stream)
 
 HEADER = '{"format":"vekg-detections","version":1,"resolution":[1920,1080]}'
 
@@ -174,3 +177,74 @@ def test_parse_header_raises_only_engine_errors(record):
         parse_header(record)
     except VekgError:
         pass
+
+
+class TestRecords:
+    """The slotted records: value semantics and the public constructors'
+    checks, which parse_frame makes inline and skips."""
+
+    def test_slots_and_no_dict(self):
+        f = parse_frame(line())
+        for record in (f, f.objects[0], f.objects[0].bbox):
+            assert record.__slots__
+            assert not hasattr(record, "__dict__")
+
+    def test_equal_boxes_compare_and_hash_equal(self):
+        a, b = BoundingBox(1, 2.5, 3, 4), BoundingBox(1.0, 2.5, 3.0, 4.0)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != BoundingBox(1, 2.5, 3, 5)
+        assert a != (1, 2.5, 3, 4)
+
+    def test_box_keyword_construction_and_derived_values(self):
+        b = BoundingBox(x=10, y=20, w=30, h=40)
+        assert (b.x2, b.y2, b.centroid, b.area) == (40, 60, (25.0, 40.0), 1200)
+        assert repr(b) == "BoundingBox(x=10, y=20, w=30, h=40)"
+
+    @pytest.mark.parametrize("box", [
+        (math.nan, 0, 1, 1), (0, math.inf, 1, 1), (0, 0, -math.inf, 1),
+        (0, 0, 1, math.nan), (0, 0, 0, 1), (0, 0, 1, 0), (0, 0, -1, 1),
+        (0, 0, 1, -0.5)])
+    def test_public_box_constructor_validates(self, box):
+        with pytest.raises(ValueError):
+            BoundingBox(*box)
+
+    def test_object_and_frame_are_unhashable(self):
+        f = parse_frame(line())
+        for record in (f, f.objects[0]):
+            with pytest.raises(TypeError):
+                hash(record)
+
+    def test_object_equality_and_repr(self):
+        a = ObjectNode(track_id=1, label="car", confidence=0.5,
+                       bbox=BoundingBox(0, 0, 5, 5))
+        b = ObjectNode(1, "car", 0.5, BoundingBox(0, 0, 5, 5), {}, None)
+        assert a == b and a.attributes == {}
+        assert a != ObjectNode(2, "car", 0.5, BoundingBox(0, 0, 5, 5))
+        assert repr(a).startswith("ObjectNode(track_id=1, label='car', confidence=0.5, "
+                                  "bbox=BoundingBox(")
+
+    def test_parsed_records_equal_constructed_ones(self):
+        f = parse_frame(line(frame=2, ts=40))
+        assert f == FrameDetections(frame_index=2, timestamp=40, objects=(
+            ObjectNode(track_id=7, label="person", confidence=0.9,
+                       bbox=BoundingBox(10.0, 10.0, 40.0, 100.0)),))
+
+    @pytest.mark.parametrize("conf", [1.5, -0.1, math.nan])
+    def test_public_object_constructor_checks_confidence(self, conf):
+        with pytest.raises(SchemaViolation):
+            ObjectNode(track_id=1, label="car", confidence=conf,
+                       bbox=BoundingBox(0, 0, 5, 5))
+
+    @pytest.mark.parametrize("point", [(math.inf, 1.0), (1.0, math.nan)])
+    def test_public_object_constructor_checks_keypoints(self, point):
+        with pytest.raises(SchemaViolation):
+            ObjectNode(track_id=1, label="person", confidence=0.5,
+                       bbox=BoundingBox(0, 0, 5, 5), keypoints={"nose": point})
+
+    def test_public_frame_constructor_checks_index_and_tracks(self):
+        o = ObjectNode(track_id=1, label="car", confidence=0.5, bbox=BoundingBox(0, 0, 5, 5))
+        with pytest.raises(SchemaViolation):
+            FrameDetections(frame_index=-1, timestamp=0, objects=())
+        with pytest.raises(SchemaViolation, match="duplicate track_id 1"):
+            FrameDetections(frame_index=0, timestamp=0, objects=(o, o))

@@ -317,3 +317,15 @@ def test_dump_smoke():
     tag = aggregate(three_car_window(), {"distance"})
     text = tag.dump()
     assert "node 3" in text and "edge 2->3 distance" in text and "X" in text
+
+
+@pytest.mark.parametrize("timestamps, period", [
+    ((0, 33, 67, 100), 33),        # gaps 33, 34, 33
+    ((0, 10, 30, 60, 100), 30),    # gaps 10, 20, 30, 40: the upper median
+    ((5,), 1),                     # one frame: no gap
+])
+def test_frame_period_is_the_median_gap(timestamps, period):
+    frames = [frame(i, t, [obj(1)]) for i, t in enumerate(timestamps)]
+    tag = aggregate(window_of(frames))
+    assert tag.frame_period == period
+    assert "frame_period" in vars(tag)   # computed once, then cached
