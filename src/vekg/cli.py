@@ -16,10 +16,9 @@ import sys
 import click
 import yaml
 
-from . import synth
 from .errors import VekgError
 from .ingest import open_stream
-from .metrics import score
+from .metrics import load_truth, score
 from .pipeline import run_pipeline
 from .rules import register_rules
 
@@ -81,7 +80,7 @@ def cmd_run(ctx, input_path, rules_path, window_ms, out_path, truth_path):
     """Match rules over a detection stream, streaming notifications out."""
     ruleset = register_rules(load_rules_file(rules_path))
     window_ms = ruleset.window_ms(window_ms)   # an empty rule set needs one
-    truth = synth.load_truth(truth_path) if truth_path else None
+    truth = load_truth(truth_path) if truth_path else None
     metrics_path = out_path + ".metrics.jsonl"
     all_notes = []
     with open(out_path, "w", encoding="utf-8") as out_fh, \
@@ -122,6 +121,7 @@ def cmd_run(ctx, input_path, rules_path, window_ms, out_path, truth_path):
 def cmd_gen(ctx, scenario, out_path, truth_path, rules_path, seed,
             noise_px, dropout):
     """Generate a built-in SCENARIO as stream + ground truth."""
+    from . import synth
     sc = synth.get_scenario(scenario)
     if noise_px or dropout or seed is not None:
         sc = sc.with_noise(noise_px, dropout, seed)
@@ -139,6 +139,7 @@ def cmd_gen(ctx, scenario, out_path, truth_path, rules_path, seed,
 def cmd_bench(scenario, window_ms):
     """Medians of the per-window records that `run` writes, over SCENARIO
     run through the real pipeline with the scenario's own rules."""
+    from . import synth
     sc = synth.get_scenario(scenario)
     records, notes = [], 0
     for result in run_pipeline(synth.generate_frames(sc),

@@ -9,7 +9,7 @@ per-axis interval comparisons.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence, Tuple
 
@@ -103,27 +103,33 @@ class BoundingBox(SlotRecord):
 
 @dataclass(frozen=True)
 class Region:
-    """Simple polygon (>= 3 vertices, positive area, no self-intersection)."""
+    """Simple polygon (>= 3 vertices, positive area, no self-intersection).
+
+    ``edges`` is the closed polygon's edge list, built once: edge i runs
+    from vertex i to vertex i + 1, and the last edge back to vertex 0.
+    It is derived from ``polygon`` and left out of ``==``, hash and repr.
+    """
 
     polygon: Tuple[Point, ...]
+    edges: Tuple[Tuple[Point, Point], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = tuple((float(x), float(y)) for x, y in self.polygon)
         object.__setattr__(self, "polygon", pts)
         if len(pts) < 3:
             raise InvalidRegion("region needs at least 3 vertices")
-        if abs(_shoelace(pts)) <= 0.0:
+        edges = tuple(zip(pts, pts[1:] + pts[:1]))
+        object.__setattr__(self, "edges", edges)
+        if abs(_shoelace(edges)) <= 0.0:
             raise InvalidRegion("region has zero area")
-        if _self_intersects(pts):
+        if _self_intersects(edges):
             raise InvalidRegion("region polygon is self-intersecting")
 
 
-def _shoelace(pts: Sequence[Point]) -> float:
+def _shoelace(edges: Sequence[Tuple[Point, Point]]) -> float:
     s = 0.0
-    n = len(pts)
-    for i in range(n):
-        x1, y1 = pts[i]
-        x2, y2 = pts[(i + 1) % n]
+    for (x1, y1), (x2, y2) in edges:
         s += x1 * y2 - x2 * y1
     return s / 2.0
 
@@ -139,13 +145,11 @@ def _segments_cross(p1, p2, q1, q2) -> bool:
     return o1 != o2 and o3 != o4 and 0 not in (o1, o2, o3, o4)
 
 
-def _self_intersects(pts: Sequence[Point]) -> bool:
-    n = len(pts)
-    edges = [(pts[i], pts[(i + 1) % n]) for i in range(n)]
+def _self_intersects(edges: Sequence[Tuple[Point, Point]]) -> bool:
+    n = len(edges)
     for i in range(n):
-        for j in range(i + 1, n):
-            if j == i + 1 or (i == 0 and j == n - 1):
-                continue  # adjacent edges share a vertex
+        # skip the adjacent edges, which share a vertex: i + 1, and n - 1 for i == 0
+        for j in range(i + 2, n - 1 if i == 0 else n):
             if _segments_cross(*edges[i], *edges[j]):
                 return True
     return False
@@ -274,26 +278,18 @@ def segment_angle(u: Tuple[Point, Point], v: Tuple[Point, Point]) -> float:
 def inside_region(b: BoundingBox, reg: Region) -> bool:
     """True iff b's centroid is strictly inside the polygon.
 
-    Boundary points count as outside (ray casting with explicit
-    on-edge rejection).
+    Boundary points count as outside: one pass over the edges casts the
+    ray and returns False at the first edge the centroid lies on.
     """
     px, py = b.centroid
-    pts = reg.polygon
-    n = len(pts)
     eps = 1e-9
-    # on-edge check
-    for i in range(n):
-        x1, y1 = pts[i]
-        x2, y2 = pts[(i + 1) % n]
+    inside = False
+    for (x1, y1), (x2, y2) in reg.edges:
         cross = (x2 - x1) * (py - y1) - (y2 - y1) * (px - x1)
         if abs(cross) <= eps * max(1.0, abs(x2 - x1) + abs(y2 - y1)):
             if min(x1, x2) - eps <= px <= max(x1, x2) + eps and \
                min(y1, y2) - eps <= py <= max(y1, y2) + eps:
                 return False
-    inside = False
-    for i in range(n):
-        x1, y1 = pts[i]
-        x2, y2 = pts[(i + 1) % n]
         if (y1 > py) != (y2 > py):
             xin = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
             if px < xin:

@@ -26,7 +26,6 @@ from .ingest import FrameDetections, ObjectNode
 # relations decided in the one-pass kernel from the boxes' edge coordinates
 KERNEL_RELATIONS = frozenset({
     "topology",    # set of SpatialRelationClass
-    "overlap",     # boolean relation operation
     "direction",   # DirectionClass, or None for coincident centroids
 })
 
@@ -79,45 +78,17 @@ class VekgGraph:
     needs: RelationNeeds
     build_ms: float = 0.0
 
-    def dump(self) -> str:
-        """Line-based adjacency listing for debugging."""
-        n = len(self.nodes)
-        lines = [f"graph ts={self.timestamp} nodes={n} edges={n * (n - 1)}"]
-        for o in sorted(self.nodes, key=lambda o: o.track_id):
-            lines.append(f"node {o.track_id} {o.label} conf={o.confidence:g} "
-                         f"bbox={o.bbox.x:g},{o.bbox.y:g},{o.bbox.w:g},{o.bbox.h:g}")
-        for (u, v) in sorted(self.edges):
-            vals = " ".join(f"{r}={format_value(val)}"
-                            for r, val in sorted(self.edges[(u, v)].items()))
-            lines.append(f"edge {u}->{v} {vals}")
-        return "\n".join(lines)
-
-
-def format_value(val) -> str:
-    """A relation value or a position as the dumps print it."""
-    if isinstance(val, frozenset):
-        return "{" + ",".join(sorted(c.value for c in val)) + "}"
-    if hasattr(val, "value"):
-        return str(val.value)
-    if isinstance(val, float):
-        return f"{val:.3f}"
-    if hasattr(val, "x"):
-        return f"{val.x:g},{val.y:g},{val.w:g},{val.h:g}"
-    return str(val)
-
 
 def _pair_relations(objects, needs: RelationNeeds) -> Dict[Tuple[int, int], Dict[str, object]]:
     """Each needed ordered pair's relations, in one pass over the frame.
 
     The frame's objects are grouped by label once (all in one group for
     ALL_PAIRS), and each needed object's edge coordinates and centroid
-    are read once.  The topology code is computed once per pair and
-    serves both the topology and the overlap relation.
+    are read once.
     """
     topology_code = geometry.topology_code
     topology_sets = geometry.TOPOLOGY_SETS
     direction_of = geometry.direction_of
-    overlap_code = geometry.TOPO_OVERLAP
     scoped = ALL_PAIRS not in needs
     rows: Dict[Optional[str], list] = {label: [] for key in needs for label in key}
     for o in objects:
@@ -130,8 +101,6 @@ def _pair_relations(objects, needs: RelationNeeds) -> Dict[Tuple[int, int], Dict
     edges: Dict[Tuple[int, int], Dict[str, object]] = {}
     for (label_u, label_v), required in needs.items():
         topo = "topology" in required
-        overlap = "overlap" in required
-        need_code = topo or overlap
         direc = "direction" in required
         metric = [(rel, RELATION_FUNCS[rel]) for rel in required
                   if rel in RELATION_FUNCS]
@@ -140,12 +109,9 @@ def _pair_relations(objects, needs: RelationNeeds) -> Dict[Tuple[int, int], Dict
                 if u == v:
                     continue
                 vals: Dict[str, object] = {}
-                if need_code:
-                    code = topology_code(ax, ay, ax2, ay2, bx, by, bx2, by2)
-                    if topo:
-                        vals["topology"] = topology_sets[code]
-                    if overlap:
-                        vals["overlap"] = code == overlap_code
+                if topo:
+                    vals["topology"] = topology_sets[topology_code(
+                        ax, ay, ax2, ay2, bx, by, bx2, by2)]
                 if direc:
                     vals["direction"] = direction_of(acx, acy, bcx, bcy)
                 if metric:

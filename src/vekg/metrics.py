@@ -1,10 +1,12 @@
-"""Accuracy scoring against ground truth and per-window latency decomposition."""
+"""Ground-truth files, accuracy scoring and per-window latency decomposition."""
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
+from .errors import InvalidTruth
 from .rules import MatchNotification
 from .temporal import Interval
 
@@ -19,6 +21,32 @@ class GroundTruthEvent:
         return {"kind": self.kind, "start_ms": self.interval.start,
                 "end_ms": self.interval.end,
                 "participants": list(self.participants)}
+
+
+def load_truth(path) -> List[GroundTruthEvent]:
+    """Read a ground-truth file: one JSON event per line, with a string
+    ``kind``, integer ``start_ms`` < ``end_ms`` and integer participants."""
+    events = []
+    line_no = 0
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                raw = json.loads(line)
+                kind, start, end = raw["kind"], raw["start_ms"], raw["end_ms"]
+                participants = raw.get("participants", [])
+                if not (isinstance(kind, str) and type(start) is int
+                        and type(end) is int and isinstance(participants, list)
+                        and all(type(p) is int for p in participants)):
+                    raise ValueError("an event needs a string kind, integer "
+                                     "start_ms and end_ms, integer participants")
+                events.append(GroundTruthEvent(kind=kind,
+                                               interval=Interval(start, end),
+                                               participants=tuple(participants)))
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        raise InvalidTruth(f"bad truth file {path}, line {line_no}: {exc!r}") from exc
+    return events
 
 
 @dataclass(frozen=True)
@@ -54,15 +82,6 @@ class LatencyReport:
                 "total_ms": self.total_ms}
 
 
-def _scores(tp: int, fp: int, fn: int) -> AccuracyReport:
-    precision = tp / (tp + fp) if tp + fp > 0 else 0.0
-    recall = tp / (tp + fn) if tp + fn > 0 else 0.0
-    f = (2 * precision * recall / (precision + recall)
-         if precision + recall > 0 else 0.0)
-    return AccuracyReport(tp=tp, fp=fp, fn=fn, precision=precision,
-                          recall=recall, f_score=f)
-
-
 def temporal_iou(a: Interval, b: Interval) -> float:
     inter = min(a.end, b.end) - max(a.start, b.start)
     if inter <= 0:
@@ -93,9 +112,14 @@ def score(notifications: Sequence[MatchNotification],
             tp += 1
     fp = len(notifications) - tp
     fn = len(unmatched)
-    return _scores(tp, fp, fn)
+    return from_counts(tp, fp, fn)
 
 
 def from_counts(tp: int, fp: int, fn: int) -> AccuracyReport:
     """Precision/recall/F directly from counts."""
-    return _scores(tp, fp, fn)
+    precision = tp / (tp + fp) if tp + fp > 0 else 0.0
+    recall = tp / (tp + fn) if tp + fn > 0 else 0.0
+    f = (2 * precision * recall / (precision + recall)
+         if precision + recall > 0 else 0.0)
+    return AccuracyReport(tp=tp, fp=fp, fn=fn, precision=precision,
+                          recall=recall, f_score=f)

@@ -377,8 +377,8 @@ def eval_ride(tag: VekgTag, rule: EventRule) -> List[MatchNotification]:
                 if vp is None or vm is None:
                     flags.append(None)
                     continue
-                sp = (vp[0] ** 2 + vp[1] ** 2) ** 0.5
-                sm = (vm[0] ** 2 + vm[1] ** 2) ** 0.5
+                sp = math.hypot(*vp)
+                sm = math.hypot(*vm)
                 dot = vp[0] * vm[0] + vp[1] * vm[1]
                 flags.append(sp > min_speed and sm > min_speed and dot > 0)
             for s, e in _runs_with_gap(flags, p["max_gap_frames"],

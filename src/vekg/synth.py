@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import InvalidScenario, InvalidTruth
+from .errors import InvalidScenario
 from .geometry import BoundingBox
 from .ingest import FrameDetections, ObjectNode, StreamHeader, write_stream
 from .metrics import GroundTruthEvent
@@ -132,33 +132,6 @@ def generate(scenario: Scenario, stream_path, truth_path) -> None:
     with open(truth_path, "w", encoding="utf-8") as fh:
         for ev in scenario.planted_events:
             fh.write(json.dumps(ev.as_dict(), separators=(",", ":")) + "\n")
-
-
-def load_truth(path) -> List[GroundTruthEvent]:
-    """Read a ground-truth file: one JSON event per line, with a string
-    ``kind``, integer ``start_ms`` < ``end_ms`` and integer participants."""
-    import json
-    events = []
-    line_no = 0
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, 1):
-                if not line.strip():
-                    continue
-                raw = json.loads(line)
-                kind, start, end = raw["kind"], raw["start_ms"], raw["end_ms"]
-                participants = raw.get("participants", [])
-                if not (isinstance(kind, str) and type(start) is int
-                        and type(end) is int and isinstance(participants, list)
-                        and all(type(p) is int for p in participants)):
-                    raise ValueError("an event needs a string kind, integer "
-                                     "start_ms and end_ms, integer participants")
-                events.append(GroundTruthEvent(kind=kind,
-                                               interval=Interval(start, end),
-                                               participants=tuple(participants)))
-    except (ValueError, KeyError, TypeError, RecursionError) as exc:
-        raise InvalidTruth(f"bad truth file {path}, line {line_no}: {exc!r}") from exc
-    return events
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import RelationVocabularyMismatch, UnknownNode, UnknownRelation
 from .geometry import point_distance
-from .graph import ANY, ALL_PAIRS, RelationNeeds, format_value, relation_needs
+from .graph import ANY, ALL_PAIRS, RelationNeeds, relation_needs
 from .ingest import ObjectNode
 from .windowing import WindowState
 
@@ -83,7 +83,6 @@ class VekgTag:
     nodes: Dict[int, TagNode]
     # (u, u) -> {"position" -> series}; (u, v) -> {relation -> series}
     edges: Dict[Tuple[int, int], Dict[str, list]]
-    needs: RelationNeeds
 
     @property
     def frame_count(self) -> int:
@@ -96,20 +95,6 @@ class VekgTag:
         ts = self.timestamps
         gaps = sorted(b - a for a, b in zip(ts, ts[1:]))
         return gaps[len(gaps) // 2] if gaps else 1
-
-    def dump(self) -> str:
-        lines = [f"tag [{self.start},{self.end}) frames={self.frame_count} "
-                 f"nodes={len(self.nodes)} edges={len(self.nodes) ** 2}"]
-        for tid in sorted(self.nodes):
-            n = self.nodes[tid]
-            lines.append(f"node {tid} {n.label} present="
-                         + "".join("1" if p else "0" for p in n.present))
-        for (u, v) in sorted(self.edges):
-            for rel in sorted(self.edges[(u, v)]):
-                series = self.edges[(u, v)][rel]
-                lines.append(f"edge {u}->{v} {rel} " + " ".join(
-                    "X" if s is X else format_value(s) for s in series))
-        return "\n".join(lines)
 
 
 def _covers(graph_needs: RelationNeeds, needs: RelationNeeds) -> bool:
@@ -178,7 +163,7 @@ def aggregate(window: WindowState, required_relations=()) -> VekgTag:
                     slots[i] = values[rel]
 
     return VekgTag(start=window.start, end=window.end, timestamps=timestamps,
-                   nodes=nodes, edges=edges, needs=needs)
+                   nodes=nodes, edges=edges)
 
 
 def edge_series(tag: VekgTag, u: int, v: int, relation: str) -> list:

@@ -318,6 +318,24 @@ def test_extreme_aspect_ratio_is_not_an_internal_error(tmp_path):
     assert rc in (EXIT_OK, EXIT_INPUT)
 
 
+def test_ride_speed_of_a_far_rider_is_not_an_internal_error(tmp_path):
+    # a finite rider x of 1e300 gives a velocity whose square overflows a
+    # float; the ride rule must take its length without squaring
+    stream, rules = tmp_path / "s.jsonl", tmp_path / "r.yaml"
+    assert main(["--quiet", "gen", "horse_ride_positive", "--out", str(stream),
+                 "--truth", str(tmp_path / "t.jsonl"),
+                 "--rules", str(rules)]) == EXIT_OK
+    lines = stream.read_text().splitlines()
+    record = json.loads(lines[10])
+    for o in record["objects"]:
+        if o["label"] == "person":
+            o["bbox"][0] = 1e300
+    lines[10] = json.dumps(record)
+    stream.write_text("\n".join(lines) + "\n")
+    assert main(["--quiet", "run", "--input", str(stream), "--rules", str(rules),
+                 "--out", str(tmp_path / "o.jsonl")]) == EXIT_OK
+
+
 class TestBench:
     def test_street_report(self, capsys, tmp_path):
         rc = main(["--quiet", "bench", "street"])

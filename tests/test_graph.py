@@ -7,7 +7,7 @@ import pytest
 from conftest import frame, obj
 from vekg import geometry
 from vekg.errors import UnknownRelation
-from vekg.geometry import DirectionClass
+from vekg.geometry import DirectionClass, SpatialRelationClass
 from vekg.graph import build_frame_graph, stream_graphs
 
 RIDE = {"topology", "direction"}
@@ -29,11 +29,13 @@ class TestBuildFrameGraph:
     def test_overlap_and_direction_edge_values(self):
         a = obj(1, bbox=(0, 0, 20, 20))
         b = obj(2, bbox=(10, 30, 20, 20))   # below a, overlapping in x only
-        g = build_frame_graph(frame(0, 0, [a, b]), {"overlap", "direction"})
+        g = build_frame_graph(frame(0, 0, [a, b]), {"topology", "direction"})
         assert len(g.edges) == 2
-        assert g.edges[(1, 2)]["overlap"] is False
+        assert g.edges[(1, 2)]["topology"] == {SpatialRelationClass.DISJOINT}
         assert g.edges[(1, 2)]["direction"] is DirectionClass.ABOVE
         assert g.edges[(2, 1)]["direction"] is DirectionClass.BELOW
+        with pytest.raises(UnknownRelation):   # topology states overlap
+            build_frame_graph(frame(0, 0, [a, b]), {"overlap"})
 
     def test_unknown_relation(self):
         with pytest.raises(UnknownRelation):
@@ -89,20 +91,6 @@ class TestBuildFrameGraph:
         g = build_frame_graph(f, set())
         assert g.edges == {}
         assert len(g.nodes) == 3
-
-    def test_dump_counts_edges_from_nodes(self):
-        f = frame(0, 0, [obj(1), obj(2, bbox=(20, 0, 5, 5)),
-                         obj(3, bbox=(40, 0, 5, 5))])
-        text = build_frame_graph(f, set()).dump()
-        assert text.startswith("graph ts=0 nodes=3 edges=6")
-        assert "edge " not in text
-
-    def test_dump_format(self):
-        g = build_frame_graph(frame(0, 0, [obj(1), obj(2, bbox=(5, 5, 5, 5))]),
-                              {"distance"})
-        text = g.dump()
-        assert text.startswith("graph ts=0 nodes=2 edges=2")
-        assert "node 1" in text and "edge 1->2" in text
 
 
 class TestScopedNeeds:

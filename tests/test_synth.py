@@ -4,6 +4,7 @@ import pytest
 
 from vekg import synth
 from vekg.errors import InvalidScenario
+from vekg.metrics import load_truth
 from vekg.rules import RuleKind
 
 
@@ -88,7 +89,7 @@ class TestGeneration:
         sc = synth.get_scenario("parking_positive")
         stream, truth = tmp_path / "s.jsonl", tmp_path / "t.jsonl"
         synth.generate(sc, str(stream), str(truth))
-        loaded = synth.load_truth(str(truth))
+        loaded = load_truth(str(truth))
         assert tuple(loaded) == sc.planted_events
 
     def test_invalid_scenario_rejected(self):

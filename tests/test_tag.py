@@ -136,12 +136,6 @@ class TestNoRequiredRelation:
             edge_series(tag, 1, 2, "distance")
         assert edge_series(tag, 1, 1, POSITION)[0].x == 0
 
-    def test_dump_counts_edges_from_nodes(self):
-        tag = aggregate(window_of(three_car_window_frames(), set()), set())
-        text = tag.dump()
-        assert "nodes=3 edges=9" in text
-        assert "edge 1->1 position" in text and "edge 1->2" not in text
-
 
 class TestScopedNeeds:
     """A TAG aggregated for label-pair needs holds series only for the
@@ -311,12 +305,6 @@ class TestReduction:
         win = WindowState(start=0, end=100, graphs=())
         rep = reduction_report(win, aggregate(win))
         assert rep.rin == 0.0 and rep.rie == 0.0
-
-
-def test_dump_smoke():
-    tag = aggregate(three_car_window(), {"distance"})
-    text = tag.dump()
-    assert "node 3" in text and "edge 2->3 distance" in text and "X" in text
 
 
 @pytest.mark.parametrize("timestamps, period", [
