@@ -12,6 +12,7 @@ import json
 import logging
 import statistics
 import sys
+from contextlib import closing
 
 import click
 import yaml
@@ -77,16 +78,19 @@ def _window_record(result) -> dict:
               help="Optional ground-truth file; adds an accuracy report.")
 @click.pass_context
 def cmd_run(ctx, input_path, rules_path, window_ms, out_path, truth_path):
-    """Match rules over a detection stream, streaming notifications out."""
+    """Match rules over a detection stream, streaming notifications out.
+
+    The rules, the window length, the truth file and the stream's header
+    are all checked before an output file is opened."""
     ruleset = register_rules(load_rules_file(rules_path))
     window_ms = ruleset.window_ms(window_ms)   # an empty rule set needs one
     truth = load_truth(truth_path) if truth_path else None
     metrics_path = out_path + ".metrics.jsonl"
     all_notes = []
-    with open(out_path, "w", encoding="utf-8") as out_fh, \
+    with closing(open_stream(input_path)) as frames, \
+            open(out_path, "w", encoding="utf-8") as out_fh, \
             open(metrics_path, "w", encoding="utf-8") as met_fh:
-        for result in run_pipeline(open_stream(input_path), ruleset,
-                                   window_ms=window_ms):
+        for result in run_pipeline(frames, ruleset, window_ms=window_ms):
             for note in result.notifications:
                 out_fh.write(json.dumps(note.as_dict(),
                                         separators=(",", ":")) + "\n")
@@ -161,12 +165,9 @@ def cmd_bench(scenario, window_ms):
 
 @cli.command("validate")
 @click.argument("stream_file")
-@click.pass_context
-def cmd_validate(ctx, stream_file):
+def cmd_validate(stream_file):
     """Check a detection stream's format invariants."""
-    count = 0
-    for _frame in open_stream(stream_file):
-        count += 1
+    count = sum(1 for _frame in open_stream(stream_file))
     click.echo(f"ok: {count} frame(s)")
 
 

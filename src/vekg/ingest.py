@@ -1,7 +1,7 @@
 """Parsing and validation of detection-stream records.
 
 The stream is line-delimited JSON: a header object first, then one
-frame object per line.
+frame object per line.  Blank lines are skipped, also before the header.
 
     {"format": "vekg-detections", "version": 1, "resolution": [1920, 1080]}
     {"frame": 0, "ts_ms": 0, "objects": [{"track": 7, "label": "person",
@@ -272,7 +272,7 @@ def serialize_header(header: StreamHeader) -> str:
 def parse_header(line: str) -> StreamHeader:
     raw = _loads(line, "bad header")
     if not isinstance(raw, dict) or raw.get("format") != STREAM_FORMAT:
-        raise MalformedRecord("first line must be a stream header")
+        raise MalformedRecord("first non-blank line must be a stream header")
     res = raw.get("resolution")
     if not (isinstance(res, list) and len(res) == 2
             and type(res[0]) is int and type(res[1]) is int):
@@ -284,17 +284,30 @@ def parse_header(line: str) -> StreamHeader:
 
 
 class StreamReader:
-    """Single-producer iterator over a detection-stream source.
+    """Single-pass iterator over a detection-stream source.
 
-    Per-line errors are re-raised with the 1-based line number attached;
-    frames parsed before the bad line have already been yielded.
+    The constructor opens the source and reads its header, the first
+    non-blank line, so a missing file or a bad header raises before any
+    frame is asked for; a source with no non-blank line has no header and
+    no frames.  Per-line errors are re-raised with the 1-based line number
+    attached; frames parsed before the bad line have already been yielded.
+    The source is closed at the end of the stream, on an error, or by
+    ``close``; stdin is never closed.
     """
 
     def __init__(self, source):
         self.source = source
-        self.header: Optional[StreamHeader] = None
+        self._frames = self._read()
+        self.header: Optional[StreamHeader] = next(self._frames)
 
     def __iter__(self) -> Iterator[FrameDetections]:
+        return self._frames
+
+    def close(self) -> None:
+        self._frames.close()
+
+    def _read(self):
+        """Yield the header (None if there is none), then each frame."""
         if self.source == "-":
             source = contextlib.nullcontext(sys.stdin)   # never close stdin
         else:
@@ -304,29 +317,32 @@ class StreamReader:
                 raise SourceUnavailable(f"cannot open {self.source}: {exc}") from exc
         with source as fh:
             try:
-                yield from self._read(fh)
+                lines = enumerate(fh, start=1)
+                header = None
+                for _, line in lines:
+                    line = line.strip()
+                    if line:
+                        header = parse_header(line)
+                        break
+                yield header
+                prev = None
+                for line_no, line in lines:
+                    line = line.strip()
+                    if not line:
+                        continue
+                    try:
+                        frame = parse_frame(line, prev=prev)
+                    except (MalformedRecord, SchemaViolation, NonMonotonicTime) as exc:
+                        raise type(exc)(f"line {line_no}: {exc}") from exc
+                    prev = (frame.frame_index, frame.timestamp)
+                    yield frame
             except UnicodeDecodeError as exc:
                 raise MalformedRecord(f"stream is not UTF-8 text: {exc}") from exc
 
-    def _read(self, fh) -> Iterator[FrameDetections]:
-        prev = None
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line_no == 1:
-                self.header = parse_header(line)
-                continue
-            try:
-                frame = parse_frame(line, prev=prev)
-            except (MalformedRecord, SchemaViolation, NonMonotonicTime) as exc:
-                raise type(exc)(f"line {line_no}: {exc}") from exc
-            prev = (frame.frame_index, frame.timestamp)
-            yield frame
-
 
 def open_stream(source) -> StreamReader:
-    """Open a detection stream from a file path or "-" for stdin."""
+    """Open a detection stream from a file path or "-" for stdin, and read
+    its header."""
     return StreamReader(source)
 
 

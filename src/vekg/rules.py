@@ -17,7 +17,7 @@ from typing import (Callable, Dict, FrozenSet, List, NamedTuple, Optional,
                     Sequence, Set, Tuple)
 
 from . import geometry
-from .errors import InvalidRegion, InvalidRuleConfig
+from .errors import InvalidRegion, InvalidRuleConfig, NonPositiveLength
 from .geometry import BoundingBox, Region, SpatialRelationClass, DirectionClass
 from .graph import RelationNeeds, relation_needs
 from .tag import POSITION, VekgTag, X, edge_series, motion_series
@@ -155,6 +155,9 @@ class RuleSet:
 
     def window_ms(self, override: Optional[int] = None) -> int:
         if override is not None:
+            if override <= 0:
+                raise NonPositiveLength(
+                    f"window length must be positive, got {override}")
             return override
         if not self.rules:
             raise InvalidRuleConfig(

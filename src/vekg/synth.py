@@ -8,6 +8,8 @@ don't-care slots.  The same seed always produces byte-identical output.
 
 from __future__ import annotations
 
+import json
+import math
 import random
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -74,6 +76,11 @@ def _validate(scenario: Scenario) -> None:
         raise InvalidScenario("duration and fps must be positive")
     if not 0.0 <= scenario.dropout_prob < 1.0:
         raise InvalidScenario("dropout probability must be in [0, 1)")
+    # jitter is drawn from [-sigma, sigma], a span of 2 * sigma
+    sigma = scenario.noise_sigma_px
+    if not (sigma >= 0.0 and math.isfinite(2 * sigma)):
+        raise InvalidScenario(
+            f"noise amplitude must be >= 0 with 2 * amplitude finite, got {sigma}")
     seen = set()
     for actor in scenario.actors:
         if actor.track_id in seen:
@@ -125,10 +132,11 @@ def generate_frames(scenario: Scenario) -> Iterator[FrameDetections]:
 
 
 def generate(scenario: Scenario, stream_path, truth_path) -> None:
-    """Write the detection stream and its ground-truth file."""
+    """Write the detection stream and its ground-truth file; a bad
+    scenario raises before either file is opened."""
+    _validate(scenario)
     header = StreamHeader(resolution=scenario.resolution)
     write_stream(stream_path, header, generate_frames(scenario))
-    import json
     with open(truth_path, "w", encoding="utf-8") as fh:
         for ev in scenario.planted_events:
             fh.write(json.dumps(ev.as_dict(), separators=(",", ":")) + "\n")
@@ -141,6 +149,8 @@ def generate(scenario: Scenario, stream_path, truth_path) -> None:
 
 RES = (1920, 1080)
 W = 10_000   # default window length, ms
+_WINDOWS = 4   # windows in each rule kind's scenarios
+_DUR = _WINDOWS * W
 
 
 def _truth(kind: str, start: int, end: int, *participants: int) -> GroundTruthEvent:
@@ -148,10 +158,30 @@ def _truth(kind: str, start: int, end: int, *participants: int) -> GroundTruthEv
                             participants=tuple(participants))
 
 
-def _fall_person(windows: int, fall: bool) -> ActorScript:
+def _per_window(kind: str, start: int, end: int,
+                *participants: int) -> List[GroundTruthEvent]:
+    """One planted event in each window, ``start`` to ``end`` ms into it."""
+    return [_truth(kind, base + start, base + end, *participants)
+            for base in range(0, _DUR, W)]
+
+
+def _pair(name: str, rule: dict, positive: Sequence[ActorScript],
+          events: Sequence[GroundTruthEvent],
+          negative: Sequence[ActorScript]) -> List[Scenario]:
+    """A rule kind's positive scenario, with its planted ``events``, and
+    its negative one: four windows of ``W`` ms at 30 fps under ``rule``."""
+    rule = dict(rule, window_ms=W)
+    return [Scenario(name=f"{name}_{suffix}", duration_ms=_DUR, fps=30,
+                     resolution=RES, actors=tuple(actors),
+                     planted_events=tuple(truth), rule_configs=(rule,),
+                     window_ms=W)
+            for suffix, actors, truth in (("positive", positive, events),
+                                          ("negative", negative, ()))]
+
+
+def _fall_person(fall: bool) -> ActorScript:
     keys: List[BBoxKey] = []
-    for k in range(windows):
-        base = k * W
+    for base in range(0, _DUR, W):
         if fall:
             keys += [
                 (base, 200, 400, 45, 110),
@@ -166,59 +196,39 @@ def _fall_person(windows: int, fall: bool) -> ActorScript:
 
 
 def _fall_scenarios() -> List[Scenario]:
-    windows = 4
-    rule = {"id": "fall", "kind": "fall_detection", "window_ms": W}
-    pos = Scenario(
-        name="fall_positive", duration_ms=windows * W, fps=30, resolution=RES,
-        actors=(_fall_person(windows, fall=True),),
-        planted_events=tuple(_truth("fall_detection", k * W + 3000, (k + 1) * W, 1)
-                             for k in range(windows)),
-        rule_configs=(rule,), window_ms=W)
-    neg = Scenario(
-        name="fall_negative", duration_ms=windows * W, fps=30, resolution=RES,
-        actors=(_fall_person(windows, fall=False),),
-        rule_configs=(rule,), window_ms=W)
-    return [pos, neg]
+    return _pair("fall", {"id": "fall", "kind": "fall_detection"},
+                 (_fall_person(fall=True),),
+                 _per_window("fall_detection", 3000, W, 1),
+                 (_fall_person(fall=False),))
 
 
 def _ride_scenarios(kind: str, mount: str) -> List[Scenario]:
-    windows = 4
-    dur = windows * W
     speed = 0.36   # px per ms (12 px/frame at 30 fps)
-    rule = {"id": kind, "kind": kind, "window_ms": W}
-    rider = ActorScript(track_id=1, label="person", bbox_keys=(
-        (0, 100, 300, 50, 90), (dur, 100 + speed * dur, 300, 50, 90)))
-    steed = ActorScript(track_id=2, label=mount, bbox_keys=(
-        (0, 75, 350, 100, 80), (dur, 75 + speed * dur, 350, 100, 80)))
-    pos = Scenario(
-        name=f"{kind}_positive", duration_ms=dur, fps=30, resolution=RES,
-        actors=(rider, steed),
-        planted_events=tuple(_truth(kind, k * W, (k + 1) * W, 1, 2)
-                             for k in range(windows)),
-        rule_configs=(rule,), window_ms=W)
+
+    def moving(track: int, label: str, x: float, y: float, w: float,
+               h: float) -> ActorScript:
+        return ActorScript(track_id=track, label=label, bbox_keys=(
+            (0, x, y, w, h), (_DUR, x + speed * _DUR, y, w, h)))
+
     if kind == "horse_ride":
         # person beside (left of) the mount, overlapping, both moving
-        neg_actors = (
-            ActorScript(track_id=1, label="person", bbox_keys=(
-                (0, 100, 350, 50, 90), (dur, 100 + speed * dur, 350, 50, 90))),
-            ActorScript(track_id=2, label=mount, bbox_keys=(
-                (0, 130, 355, 100, 80), (dur, 130 + speed * dur, 355, 100, 80))),
-        )
+        negative = (moving(1, "person", 100, 350, 50, 90),
+                    moving(2, mount, 130, 355, 100, 80))
     else:
         # person above the mount but nothing moves
-        neg_actors = (
+        negative = (
             ActorScript(track_id=1, label="person",
                         bbox_keys=((0, 100, 300, 50, 90),)),
             ActorScript(track_id=2, label=mount,
                         bbox_keys=((0, 75, 350, 100, 80),)),
         )
-    neg = Scenario(
-        name=f"{kind}_negative", duration_ms=dur, fps=30, resolution=RES,
-        actors=neg_actors, rule_configs=(rule,), window_ms=W)
-    return [pos, neg]
+    return _pair(kind, {"id": kind, "kind": kind},
+                 (moving(1, "person", 100, 300, 50, 90),
+                  moving(2, mount, 75, 350, 100, 80)),
+                 _per_window(kind, 0, W, 1, 2), negative)
 
 
-def _static_points(dur: int, **points) -> Dict[str, Tuple[PointKey, ...]]:
+def _static_points(**points) -> Dict[str, Tuple[PointKey, ...]]:
     return {name: ((0, x, y),) for name, (x, y) in points.items()}
 
 
@@ -226,8 +236,7 @@ def _shake_wrists(windows: int, idle: Tuple[float, float],
                   ext: Tuple[float, float],
                   raise_at=2000, peak_at=5000, back_at=8000) -> Tuple[PointKey, ...]:
     keys: List[PointKey] = []
-    for k in range(windows):
-        base = k * W
+    for base in range(0, windows * W, W):
         keys += [(base + raise_at, *idle), (base + peak_at, *ext),
                  (base + back_at, *idle)]
     return tuple(keys)
@@ -236,7 +245,6 @@ def _shake_wrists(windows: int, idle: Tuple[float, float],
 def _person_a(windows: int, wrist_ext: Tuple[float, float],
               peak=5000) -> ActorScript:
     kp = _static_points(
-        windows * W,
         right_shoulder=(800, 400), right_hip=(805, 520),
         left_shoulder=(780, 400), left_hip=(778, 520), left_wrist=(770, 512),
     )
@@ -249,7 +257,6 @@ def _person_a(windows: int, wrist_ext: Tuple[float, float],
 
 def _person_b(windows: int, wrist_ext: Optional[Tuple[float, float]]) -> ActorScript:
     kp = _static_points(
-        windows * W,
         right_shoulder=(1100, 400), right_hip=(1095, 520),
         left_shoulder=(1120, 400), left_hip=(1122, 520), left_wrist=(1130, 512),
     )
@@ -263,79 +270,44 @@ def _person_b(windows: int, wrist_ext: Optional[Tuple[float, float]]) -> ActorSc
 
 
 def _handshake_scenarios() -> List[Scenario]:
-    windows = 4
-    dur = windows * W
-    rule = {"id": "shake", "kind": "handshake", "window_ms": W}
-    pos = Scenario(
-        name="handshake_positive", duration_ms=dur, fps=30, resolution=RES,
-        actors=(_person_a(windows, (940, 412)), _person_b(windows, (960, 412))),
-        planted_events=tuple(_truth("handshake", k * W + 2000, k * W + 8000, 1, 2)
-                             for k in range(windows)),
-        rule_configs=(rule,), window_ms=W)
-    neg = Scenario(
-        name="handshake_negative", duration_ms=dur, fps=30, resolution=RES,
-        actors=(_person_a(windows, (812, 512)), _person_b(windows, None)),
-        rule_configs=(rule,), window_ms=W)
-    return [pos, neg]
+    return _pair("handshake", {"id": "shake", "kind": "handshake"},
+                 (_person_a(_WINDOWS, (940, 412)), _person_b(_WINDOWS, (960, 412))),
+                 _per_window("handshake", 2000, 8000, 1, 2),
+                 (_person_a(_WINDOWS, (812, 512)), _person_b(_WINDOWS, None)))
 
 
 def _punch_scenarios() -> List[Scenario]:
-    windows = 4
-    dur = windows * W
-    rule = {"id": "punch", "kind": "punch", "window_ms": W}
-    # attacker's wrist reaches the victim's right shoulder
-    attacker = _person_a(windows, (1095, 402), peak=4000)
-    victim = _person_b(windows, None)
-    pos = Scenario(
-        name="punch_positive", duration_ms=dur, fps=30, resolution=RES,
-        actors=(attacker, victim),
-        planted_events=tuple(_truth("punch", k * W + 2000, k * W + 8000, 1, 2)
-                             for k in range(windows)),
-        rule_configs=(rule,), window_ms=W)
-    # a handshake must not fire the punch rule: wrists meet mid-way, far
-    # from either shoulder
-    neg = Scenario(
-        name="punch_negative", duration_ms=dur, fps=30, resolution=RES,
-        actors=(_person_a(windows, (940, 412)), _person_b(windows, (960, 412))),
-        rule_configs=(rule,), window_ms=W)
-    return [pos, neg]
+    # the attacker's wrist reaches the victim's right shoulder; a handshake
+    # must not fire the punch rule: wrists meet mid-way, far from either
+    # shoulder
+    return _pair("punch", {"id": "punch", "kind": "punch"},
+                 (_person_a(_WINDOWS, (1095, 402), peak=4000),
+                  _person_b(_WINDOWS, None)),
+                 _per_window("punch", 2000, 8000, 1, 2),
+                 (_person_a(_WINDOWS, (940, 412)), _person_b(_WINDOWS, (960, 412))))
 
 
 ROAD_REGION = [[300, 300], [1600, 300], [1600, 800], [300, 800]]
 
 
 def _traffic_scenarios() -> List[Scenario]:
-    windows = 4
-    dur = windows * W
-    rule = {"id": "traffic", "kind": "high_volume_traffic", "window_ms": W,
-            "params": {"region": ROAD_REGION, "count_threshold": 5}}
-
     def car(track: int, y: float) -> ActorScript:
         return ActorScript(track_id=track, label="car", bbox_keys=(
-            (0, 400, y, 90, 50), (dur, 1350, y, 90, 50)))
+            (0, 400, y, 90, 50), (_DUR, 1350, y, 90, 50)))
 
-    pos = Scenario(
-        name="traffic_positive", duration_ms=dur, fps=30, resolution=RES,
-        actors=tuple(car(t, 330 + 65 * (t - 1)) for t in range(1, 7)),
-        planted_events=tuple(
-            _truth("high_volume_traffic", k * W, (k + 1) * W, *range(1, 7))
-            for k in range(windows)),
-        rule_configs=(rule,), window_ms=W)
-    neg = Scenario(
-        name="traffic_negative", duration_ms=dur, fps=30, resolution=RES,
-        actors=tuple(car(t, 330 + 65 * (t - 1)) for t in range(1, 4))
-        + tuple(car(t, 900) for t in range(4, 7)),   # outside the region
-        rule_configs=(rule,), window_ms=W)
-    return [pos, neg]
+    return _pair("traffic",
+                 {"id": "traffic", "kind": "high_volume_traffic",
+                  "params": {"region": ROAD_REGION, "count_threshold": 5}},
+                 [car(t, 330 + 65 * (t - 1)) for t in range(1, 7)],
+                 _per_window("high_volume_traffic", 0, W, *range(1, 7)),
+                 [car(t, 330 + 65 * (t - 1)) for t in range(1, 4)]
+                 + [car(t, 900) for t in range(4, 7)])   # outside the region
 
 
 PARKING_SLOTS = [[200, 600, 120, 80], [400, 600, 120, 80]]
 
 
 def _parking_scenarios() -> List[Scenario]:
-    dur = 4 * W
-    rule = {"id": "parking", "kind": "parking_slot_status", "window_ms": W,
-            "params": {"slots": PARKING_SLOTS, "overlap_threshold": 0.5}}
     # car1 pulls up vertically before leaving so it never sweeps slot 1
     car1 = ActorScript(track_id=1, label="car", bbox_keys=(
         (0, -400, 610, 100, 70), (5000, 210, 610, 100, 70),
@@ -345,68 +317,44 @@ def _parking_scenarios() -> List[Scenario]:
         (12000, 1200, 605, 100, 70), (15000, 410, 605, 100, 70),
         (25000, 410, 605, 100, 70), (30000, 1400, 605, 100, 70)),
         enter_ms=12000, exit_ms=30000)
-    pos = Scenario(
-        name="parking_positive", duration_ms=dur, fps=30, resolution=RES,
-        actors=(car1, car2),
-        planted_events=(
-            # boundaries are the exact overlap-threshold crossings
-            _truth("parking_slot_status", 4660, W, 1),
-            _truth("parking_slot_status", W, 2 * W, 1),
-            _truth("parking_slot_status", 2 * W, 3 * W, 1),
-            _truth("parking_slot_status", 3 * W, 35200, 1),
-            _truth("parking_slot_status", 14843, 2 * W, 2),
-            _truth("parking_slot_status", 2 * W, 25210, 2),
-        ),
-        rule_configs=(rule,), window_ms=W)
-    # parked beside the slots, overlap well below threshold
-    neg = Scenario(
-        name="parking_negative", duration_ms=dur, fps=30, resolution=RES,
-        actors=(ActorScript(track_id=1, label="car",
-                            bbox_keys=((0, 290, 610, 100, 70),)),),
-        rule_configs=(rule,), window_ms=W)
-    return [pos, neg]
+    kind = "parking_slot_status"
+    return _pair("parking",
+                 {"id": "parking", "kind": kind,
+                  "params": {"slots": PARKING_SLOTS, "overlap_threshold": 0.5}},
+                 (car1, car2),
+                 # boundaries are the exact overlap-threshold crossings
+                 (_truth(kind, 4660, W, 1), _truth(kind, W, 2 * W, 1),
+                  _truth(kind, 2 * W, 3 * W, 1), _truth(kind, 3 * W, 35200, 1),
+                  _truth(kind, 14843, 2 * W, 2), _truth(kind, 2 * W, 25210, 2)),
+                 # parked beside the slots, overlap well below threshold
+                 (ActorScript(track_id=1, label="car",
+                              bbox_keys=((0, 290, 610, 100, 70),)),))
 
 
 CROSSING_REGION = [[600, 400], [1300, 400], [1300, 700], [600, 700]]
 
 
 def _jaywalk_scenarios() -> List[Scenario]:
-    windows = 4
-    dur = windows * W
-    rule = {"id": "jaywalk", "kind": "jaywalking", "window_ms": W,
-            "params": {"region": CROSSING_REGION}}
     # centroid = x + 20; crosses x=600 at base+2650, x=1300 at base+6150
     keys: List[BBoxKey] = []
-    for k in range(windows):
-        base = k * W
+    for base in range(0, _DUR, W):
         keys += [(base + 1000, 250, 480, 40, 100),
                  (base + 8000, 1650, 480, 40, 100),
                  (base + 9000, 1650, 480, 40, 100),
                  (base + 9034, 250, 480, 40, 100)]   # off-screen reset jump
     walker = ActorScript(track_id=1, label="person", bbox_keys=tuple(keys))
     bystander = ActorScript(track_id=2, label="person", bbox_keys=(
-        (0, 200, 850, 40, 100), (dur, 1500, 850, 40, 100)))
-    pos = Scenario(
-        name="jaywalk_positive", duration_ms=dur, fps=30, resolution=RES,
-        actors=(walker, bystander),
-        planted_events=tuple(_truth("jaywalking", k * W + 2650, k * W + 6150, 1)
-                             for k in range(windows)),
-        rule_configs=(rule,), window_ms=W)
+        (0, 200, 850, 40, 100), (_DUR, 1500, 850, 40, 100)))
     car = ActorScript(track_id=3, label="car", bbox_keys=(
-        (0, 350, 500, 90, 50), (dur, 1500, 500, 90, 50)))
-    neg = Scenario(
-        name="jaywalk_negative", duration_ms=dur, fps=30, resolution=RES,
-        actors=(bystander, car),
-        rule_configs=(rule,), window_ms=W)
-    return [pos, neg]
+        (0, 350, 500, 90, 50), (_DUR, 1500, 500, 90, 50)))
+    return _pair("jaywalk",
+                 {"id": "jaywalk", "kind": "jaywalking",
+                  "params": {"region": CROSSING_REGION}},
+                 (walker, bystander), _per_window("jaywalking", 2650, 6150, 1),
+                 (bystander, car))
 
 
 def _attribute_scenarios() -> List[Scenario]:
-    windows = 4
-    dur = windows * W
-    rule = {"id": "redcar", "kind": "attribute_query", "window_ms": W,
-            "params": {"attribute": "color", "value": "red"}}
-
     def red_car(k: int) -> ActorScript:
         base = k * W
         return ActorScript(track_id=k + 1, label="car",
@@ -420,17 +368,13 @@ def _attribute_scenarios() -> List[Scenario]:
                     bbox_keys=((0, 100 + 200 * i, 700, 90, 50),),
                     attrs={"color": "blue"})
         for i in range(2))
-    pos = Scenario(
-        name="attribute_positive", duration_ms=dur, fps=30, resolution=RES,
-        actors=tuple(red_car(k) for k in range(windows)) + blue_cars,
-        planted_events=tuple(
-            _truth("attribute_query", k * W + 1000, k * W + 9000, k + 1)
-            for k in range(windows)),
-        rule_configs=(rule,), window_ms=W)
-    neg = Scenario(
-        name="attribute_negative", duration_ms=dur, fps=30, resolution=RES,
-        actors=blue_cars, rule_configs=(rule,), window_ms=W)
-    return [pos, neg]
+    return _pair("attribute",
+                 {"id": "redcar", "kind": "attribute_query",
+                  "params": {"attribute": "color", "value": "red"}},
+                 tuple(red_car(k) for k in range(_WINDOWS)) + blue_cars,
+                 [_truth("attribute_query", k * W + 1000, k * W + 9000, k + 1)
+                  for k in range(_WINDOWS)],
+                 blue_cars)
 
 
 def _street_scenario(name: str, duration_ms: int) -> Scenario:
@@ -463,19 +407,12 @@ def _street_scenario(name: str, duration_ms: int) -> Scenario:
 def builtin_scenarios() -> List[Scenario]:
     """All built-in scenarios: a positive and a negative per rule kind,
     plus the street scenes used for reduction and search benchmarks."""
-    out: List[Scenario] = []
-    out += _fall_scenarios()
-    out += _ride_scenarios("horse_ride", "horse")
-    out += _ride_scenarios("bike_ride", "bike")
-    out += _handshake_scenarios()
-    out += _punch_scenarios()
-    out += _traffic_scenarios()
-    out += _parking_scenarios()
-    out += _jaywalk_scenarios()
-    out += _attribute_scenarios()
-    out.append(_street_scenario("street", 60_000))
-    out.append(_street_scenario("street_10min", 600_000))
-    return out
+    return (_fall_scenarios() + _ride_scenarios("horse_ride", "horse")
+            + _ride_scenarios("bike_ride", "bike") + _handshake_scenarios()
+            + _punch_scenarios() + _traffic_scenarios() + _parking_scenarios()
+            + _jaywalk_scenarios() + _attribute_scenarios()
+            + [_street_scenario("street", 60_000),
+               _street_scenario("street_10min", 600_000)])
 
 
 def get_scenario(name: str) -> Scenario:

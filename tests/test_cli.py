@@ -6,6 +6,7 @@ import statistics
 import pytest
 import yaml
 
+from vekg import cli, ingest
 from vekg.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
 
 
@@ -33,6 +34,21 @@ class TestGen:
         rc = main(["gen", "flying_carpet", "--out", str(tmp_path / "x"),
                    "--truth", str(tmp_path / "y")])
         assert rc == EXIT_INPUT
+
+    @pytest.mark.parametrize("noise", ["inf", "1e308", "nan", "-5"])
+    def test_bad_noise_amplitude_exits_2(self, tmp_path, noise):
+        rc = main(["--quiet", "gen", "fall_positive", "--noise-px", noise,
+                   "--out", str(tmp_path / "s"), "--truth", str(tmp_path / "t")])
+        assert rc == EXIT_INPUT
+        assert not (tmp_path / "s").exists()   # rejected before any output
+
+    @pytest.mark.parametrize("noise", ["0", "1", "2"])
+    def test_noise_amplitude_in_range_generates(self, tmp_path, noise):
+        stream = tmp_path / "s"
+        rc = main(["--quiet", "gen", "fall_positive", "--noise-px", noise,
+                   "--out", str(stream), "--truth", str(tmp_path / "t")])
+        assert rc == EXIT_OK
+        assert len(stream.read_text().splitlines()) == 1 + 1200
 
     def test_noise_flags_deterministic(self, tmp_path):
         args = ["gen", "jaywalk_positive", "--seed", "3", "--noise-px", "2",
@@ -118,6 +134,57 @@ class TestRun:
         assert rc == EXIT_INPUT
         assert not out.exists()   # rejected before any output was opened
 
+    @staticmethod
+    def run_over_prefilled(tmp_path, stream, rules, *args):
+        """Run with both output files already holding bytes; return the
+        exit code and whether both files kept their bytes."""
+        out = tmp_path / "kept.jsonl"
+        metrics = tmp_path / "kept.jsonl.metrics.jsonl"
+        out.write_bytes(b"earlier notifications\n")
+        metrics.write_bytes(b"earlier metrics\n")
+        rc = main(["--quiet", "run", "--input", str(stream),
+                   "--rules", str(rules), "--out", str(out), *args])
+        kept = (out.read_bytes() == b"earlier notifications\n"
+                and metrics.read_bytes() == b"earlier metrics\n")
+        return rc, kept
+
+    def test_missing_input_exits_2_before_any_output(self, fall_files, tmp_path):
+        _, _, rules = fall_files
+        assert self.run_over_prefilled(
+            tmp_path, tmp_path / "nope.jsonl", rules) == (EXIT_INPUT, True)
+
+    def test_headerless_input_exits_2_before_any_output(self, fall_files,
+                                                        tmp_path):
+        stream, _, rules = fall_files
+        headerless = tmp_path / "headerless.jsonl"
+        headerless.write_text("\n".join(stream.read_text().splitlines()[1:]))
+        assert self.run_over_prefilled(
+            tmp_path, headerless, rules) == (EXIT_INPUT, True)
+
+    @pytest.mark.parametrize("window", ["0", "-5"], ids=["zero", "negative"])
+    def test_non_positive_window_exits_2_before_any_output(
+            self, fall_files, tmp_path, window):
+        stream, _, rules = fall_files
+        assert self.run_over_prefilled(
+            tmp_path, stream, rules, "--window-ms", window) == (EXIT_INPUT, True)
+
+    def test_unopenable_output_closes_the_input(self, fall_files, tmp_path,
+                                                monkeypatch):
+        stream, _, rules = fall_files
+        readers = []
+
+        def recording_open_stream(source):
+            readers.append(ingest.open_stream(source))
+            return readers[-1]
+
+        monkeypatch.setattr(cli, "open_stream", recording_open_stream)
+        rc = main(["--quiet", "run", "--input", str(stream),
+                   "--rules", str(rules),
+                   "--out", str(tmp_path / "no-such-dir" / "o.jsonl")])
+        assert rc == EXIT_INPUT
+        assert len(readers) == 1
+        assert list(readers[0]) == []   # closed: no frame left to read
+
     def test_window_override_mismatch(self, fall_files, tmp_path):
         stream, _, rules = fall_files
         out = tmp_path / "w.jsonl"
@@ -140,6 +207,25 @@ class TestValidate:
 
     def test_missing_file(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope")]) == EXIT_INPUT
+
+    def test_blank_line_before_header_is_valid(self, fall_files, tmp_path):
+        stream, _, _ = fall_files
+        padded = tmp_path / "padded.jsonl"
+        padded.write_text("\n  \n" + stream.read_text())
+        assert main(["validate", str(padded)]) == EXIT_OK
+
+    def test_blank_first_line_without_header_is_input_error(self, fall_files,
+                                                            tmp_path):
+        stream, _, _ = fall_files
+        headerless = tmp_path / "headerless.jsonl"
+        headerless.write_text("\n" + "\n".join(stream.read_text().splitlines()[1:]))
+        assert main(["validate", str(headerless)]) == EXIT_INPUT
+
+    def test_only_blank_lines_is_an_empty_stream(self, tmp_path, capsys):
+        blank = tmp_path / "blank.jsonl"
+        blank.write_text("\n\n")
+        assert main(["validate", str(blank)]) == EXIT_OK
+        assert "ok: 0 frame(s)" in capsys.readouterr().out
 
     @pytest.mark.parametrize("record", [
         '{"frame":"a","ts_ms":0,"objects":[]}',

@@ -7,6 +7,8 @@ linter ships with the project.
   a check the program relies on must raise an exception of its own.
 - Every module-level private (``_name``) function, class or constant is
   read somewhere in the package, so a retired helper cannot linger.
+- Every parameter of every function is read in that function's body
+  (``self`` and ``cls`` exempt), so an argument no caller needs is dropped.
 """
 
 import ast
@@ -102,3 +104,34 @@ def test_gate_sees_an_unread_private():
 
 def test_no_unread_private_names():
     assert unread_privates([p.read_text(encoding="utf-8") for p in SOURCES]) == []
+
+
+def unread_parameters(source: str):
+    """``function.parameter`` of each parameter that its function's body
+    never reads; ``self`` and ``cls`` are exempt."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = [a.arg for a in (*args.posonlyargs, *args.args, args.vararg,
+                                  *args.kwonlyargs, args.kwarg) if a is not None]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [f"{node.name}.{name}" for name in params
+                  if name not in read and name not in ("self", "cls")]
+    return sorted(found)
+
+
+def test_gate_sees_an_unread_parameter():
+    assert unread_parameters(
+        "def f(a, b, *c, d=1, **e):\n    return a + d\n"
+        "class K:\n    def m(self, x):\n        def g(y):\n            return x\n"
+        "        return g\n"
+        "    @classmethod\n    def n(cls, z=lambda w: w):\n        return 1\n"
+    ) == ["f.b", "f.c", "f.e", "g.y", "n.z"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert unread_parameters(path.read_text(encoding="utf-8")) == []

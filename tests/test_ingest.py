@@ -111,6 +111,32 @@ class TestOpenStream:
         p.write_text(HEADER + "\n")
         assert list(open_stream(str(p))) == []
 
+    def test_blank_lines_before_header(self, tmp_path):
+        p = tmp_path / "s.jsonl"
+        p.write_text("\n \n" + HEADER + "\n" + line(0, 0) + "\n")
+        reader = open_stream(str(p))
+        assert [f.timestamp for f in reader] == [0]
+        assert reader.header is not None
+
+    def test_first_non_blank_line_must_be_header(self, tmp_path):
+        p = tmp_path / "s.jsonl"
+        p.write_text("\n" + line(0, 0) + "\n" + line(1, 33) + "\n")
+        with pytest.raises(MalformedRecord, match="stream header"):
+            open_stream(str(p))
+
+    def test_only_blank_lines(self, tmp_path):
+        p = tmp_path / "s.jsonl"
+        p.write_text("\n\n")
+        reader = open_stream(str(p))
+        assert list(reader) == []
+        assert reader.header is None
+
+    def test_bad_header_raises_on_open(self, tmp_path):
+        p = tmp_path / "s.jsonl"
+        p.write_text('{"format":"other"}\n' + line(0, 0) + "\n")
+        with pytest.raises(MalformedRecord):
+            open_stream(str(p))
+
     def test_bad_line_reports_position(self, tmp_path):
         p = tmp_path / "s.jsonl"
         p.write_text(HEADER + "\n" + line(0, 0) + "\n" + "garbage\n")
