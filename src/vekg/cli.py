@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import statistics
 import sys
 from contextlib import closing
@@ -65,6 +66,14 @@ def _window_record(result) -> dict:
             "reduction": result.reduction.as_dict()}
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Both paths exist and name the same file."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return False
+
+
 @cli.command("run")
 @click.option("--input", "input_path", required=True,
               help="Detection stream file, or - for stdin.")
@@ -81,11 +90,16 @@ def cmd_run(ctx, input_path, rules_path, window_ms, out_path, truth_path):
     """Match rules over a detection stream, streaming notifications out.
 
     The rules, the window length, the truth file and the stream's header
-    are all checked before an output file is opened."""
+    are all checked before an output file is opened, and neither output
+    may be the input file."""
     ruleset = register_rules(load_rules_file(rules_path))
     window_ms = ruleset.window_ms(window_ms)   # an empty rule set needs one
     truth = load_truth(truth_path) if truth_path else None
     metrics_path = out_path + ".metrics.jsonl"
+    for path in (out_path, metrics_path):
+        if input_path != "-" and _same_file(path, input_path):
+            raise VekgError(f"output {path} is the input file; writing it "
+                            "would destroy the stream")
     all_notes = []
     with closing(open_stream(input_path)) as frames, \
             open(out_path, "w", encoding="utf-8") as out_fh, \

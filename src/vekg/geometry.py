@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import CoincidentCentroids, InvalidRegion, ZeroLengthSegment
 
@@ -275,23 +275,33 @@ def segment_angle(u: Tuple[Point, Point], v: Tuple[Point, Point]) -> float:
     return math.degrees(math.acos(c))
 
 
-def inside_region(b: BoundingBox, reg: Region) -> bool:
-    """True iff b's centroid is strictly inside the polygon.
+def inside_region(boxes: Sequence[BoundingBox], reg: Region) -> List[bool]:
+    """For each box, True iff its centroid is strictly inside the polygon.
 
-    Boundary points count as outside: one pass over the edges casts the
-    ray and returns False at the first edge the centroid lies on.
+    Boundary points count as outside.  One numpy pass over the edges
+    tests the whole batch: per edge, the on-edge test marks the centroids
+    lying on it, and the ray crossing toggles the others.  The operations
+    and their order are those of a test of one centroid at a time, so
+    each answer is the same bit for bit.  Centroids that overflow to inf
+    compare as IEEE says, without a warning.  Returns Python bools.
     """
-    px, py = b.centroid
+    if not boxes:
+        return []
+    import numpy as np   # loaded here, not when the package is imported
     eps = 1e-9
-    inside = False
-    for (x1, y1), (x2, y2) in reg.edges:
-        cross = (x2 - x1) * (py - y1) - (y2 - y1) * (px - x1)
-        if abs(cross) <= eps * max(1.0, abs(x2 - x1) + abs(y2 - y1)):
-            if min(x1, x2) - eps <= px <= max(x1, x2) + eps and \
-               min(y1, y2) - eps <= py <= max(y1, y2) + eps:
-                return False
-        if (y1 > py) != (y2 > py):
-            xin = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
-            if px < xin:
-                inside = not inside
-    return inside
+    with np.errstate(over="ignore", invalid="ignore"):
+        px = (np.array([b.x for b in boxes], dtype=float)
+              + np.array([b.w for b in boxes], dtype=float) / 2.0)
+        py = (np.array([b.y for b in boxes], dtype=float)
+              + np.array([b.h for b in boxes], dtype=float) / 2.0)
+        on_edge = np.zeros(len(boxes), dtype=bool)
+        inside = np.zeros(len(boxes), dtype=bool)
+        for (x1, y1), (x2, y2) in reg.edges:
+            cross = (x2 - x1) * (py - y1) - (y2 - y1) * (px - x1)
+            on_edge |= ((np.abs(cross) <= eps * max(1.0, abs(x2 - x1) + abs(y2 - y1)))
+                        & (min(x1, x2) - eps <= px) & (px <= max(x1, x2) + eps)
+                        & (min(y1, y2) - eps <= py) & (py <= max(y1, y2) + eps))
+            if y1 != y2:   # a horizontal edge is never crossed
+                xin = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
+                inside ^= ((y1 > py) != (y2 > py)) & (px < xin)
+    return (inside & ~on_edge).tolist()

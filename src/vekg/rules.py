@@ -275,6 +275,18 @@ def _tracks_with_label(tag: VekgTag, labels: Sequence[str]) -> List[int]:
     return sorted(t for t, n in tag.nodes.items() if n.label in labelset)
 
 
+def _region_flags(tag: VekgTag, tracks: Sequence[int],
+                  region: Region) -> List[List[Optional[bool]]]:
+    """Per track, per frame: is its centroid strictly inside ``region``
+    (None where the track is absent)?  One ``inside_region`` call tests
+    the present boxes of all the tracks over the window."""
+    frames = [tag.nodes[track].frames for track in tracks]
+    inside = iter(geometry.inside_region(
+        [obj.bbox for objs in frames for obj in objs if obj is not None], region))
+    return [[None if obj is None else next(inside) for obj in objs]
+            for objs in frames]
+
+
 # --- evaluators ---
 
 def eval_fall(tag: VekgTag, rule: EventRule) -> List[MatchNotification]:
@@ -554,17 +566,12 @@ def eval_traffic(tag: VekgTag, rule: EventRule) -> List[MatchNotification]:
     if tag.frame_count == 0:
         return []
     tracks = _tracks_with_label(tag, rule.object_labels)
-    total = 0
-    seen: Set[int] = set()
-    for track in tracks:
-        for obj in tag.nodes[track].frames:
-            if obj is not None and geometry.inside_region(obj.bbox, region):
-                total += 1
-                seen.add(track)
-    mean = total / tag.frame_count
+    flags = _region_flags(tag, tracks, region)
+    mean = sum(f.count(True) for f in flags) / tag.frame_count
     if mean <= threshold:
         return []
-    return [_note(tag, rule, None, None, tuple(sorted(seen)),
+    seen = tuple(t for t, f in zip(tracks, flags) if True in f)
+    return [_note(tag, rule, None, None, seen,
                   {"mean_count": round(mean, 3), "threshold": threshold})]
 
 
@@ -615,13 +622,8 @@ def eval_jaywalk(tag: VekgTag, rule: EventRule) -> List[MatchNotification]:
     p = rule.params
     region: Region = p["region"]
     out = []
-    for track in _tracks_with_label(tag, rule.object_labels):
-        flags: List[Optional[bool]] = []
-        for obj in tag.nodes[track].frames:
-            if obj is None:
-                flags.append(None)
-            else:
-                flags.append(geometry.inside_region(obj.bbox, region))
+    tracks = _tracks_with_label(tag, rule.object_labels)
+    for track, flags in zip(tracks, _region_flags(tag, tracks, region)):
         for s, e in _runs_with_gap(flags, p["max_gap_frames"],
                                    p["min_frames"]):
             out.append(_note(tag, rule, s, e, (track,), {"frames": e - s + 1}))

@@ -1,6 +1,7 @@
 """End-to-end command-line tests (exit codes, file outputs, determinism)."""
 
 import json
+import os
 import statistics
 
 import pytest
@@ -167,6 +168,24 @@ class TestRun:
         stream, _, rules = fall_files
         assert self.run_over_prefilled(
             tmp_path, stream, rules, "--window-ms", window) == (EXIT_INPUT, True)
+
+    @pytest.mark.parametrize("target", ["out", "metrics", "link"])
+    def test_output_naming_the_input_exits_2(self, fall_files, tmp_path, target):
+        """--out, <out>.metrics.jsonl or a hard link to the input: exit 2
+        and the input stays byte-identical."""
+        stream, _, rules = fall_files
+        before = stream.read_bytes()
+        out = tmp_path / "o.jsonl"
+        if target == "out":
+            out = stream
+        elif target == "metrics":
+            os.link(stream, tmp_path / "o.jsonl.metrics.jsonl")
+        else:
+            os.link(stream, out)
+        rc = main(["--quiet", "run", "--input", str(stream),
+                   "--rules", str(rules), "--out", str(out)])
+        assert rc == EXIT_INPUT
+        assert stream.read_bytes() == before
 
     def test_unopenable_output_closes_the_input(self, fall_files, tmp_path,
                                                 monkeypatch):

@@ -224,14 +224,14 @@ class TestRegion:
     SQUARE = Region(((0, 0), (10, 0), (10, 10), (0, 10)))
 
     def test_centroid_inside(self):
-        assert inside_region(BoundingBox(4, 4, 2, 2), self.SQUARE)
+        assert inside_region([BoundingBox(4, 4, 2, 2)], self.SQUARE) == [True]
 
     def test_centroid_outside(self):
-        assert not inside_region(BoundingBox(49, 49, 2, 2), self.SQUARE)
+        assert inside_region([BoundingBox(49, 49, 2, 2)], self.SQUARE) == [False]
 
     def test_centroid_on_edge_is_outside(self):
         # centroid (10, 5) lies exactly on the right edge
-        assert not inside_region(BoundingBox(9, 4, 2, 2), self.SQUARE)
+        assert inside_region([BoundingBox(9, 4, 2, 2)], self.SQUARE) == [False]
 
     def test_too_few_vertices(self):
         with pytest.raises(InvalidRegion):
@@ -247,5 +247,5 @@ class TestRegion:
 
     def test_concave_region(self):
         arrow = Region(((0, 0), (10, 0), (10, 10), (5, 3), (0, 10)))
-        assert inside_region(BoundingBox(1, 1, 2, 2), arrow)
-        assert not inside_region(BoundingBox(4, 7, 2, 2), arrow)
+        assert inside_region([BoundingBox(1, 1, 2, 2)], arrow) == [True]
+        assert inside_region([BoundingBox(4, 7, 2, 2)], arrow) == [False]

@@ -180,6 +180,55 @@ def _keypoint_scene() -> synth.Scenario:
                           noise_sigma_px=0.5, dropout_prob=0.03, seed=29)
 
 
+def _regions_scene() -> synth.Scenario:
+    """Traffic and jaywalking on a concave region, with centroids exactly
+    on its edges and vertices.
+
+    The region is an arrow whose notch has a reflex vertex at (700, 500).
+    Static cars and persons (20 x 20 boxes, so a centroid is the box's
+    corner plus 10) sit on each kind of vertex, on the horizontal,
+    vertical and slanted edges, in the notch, inside and outside.
+    Movers slide along the top edge, cross the notch and pass through the
+    region, and dropout punches unknown frames into the jaywalk flags.
+    """
+    dur = 8_000
+    region = [[200, 200], [1200, 200], [1200, 800], [700, 500], [200, 800]]
+    static = [   # (label, centroid)
+        ("car", (200, 200)), ("car", (1200, 800)), ("car", (700, 500)),
+        ("car", (700, 200)), ("car", (1200, 500)), ("car", (950, 650)),
+        ("car", (700, 600)), ("car", (600, 400)), ("car", (1000, 300)),
+        ("person", (200, 500)), ("person", (450, 650)), ("person", (700, 499)),
+        ("person", (700, 501)), ("person", (300, 300)), ("person", (1500, 500)),
+    ]
+    actors = [synth.ActorScript(track_id=1 + k, label=label,
+                                bbox_keys=((0, cx - 10, cy - 10, 20, 20),))
+              for k, (label, (cx, cy)) in enumerate(static)]
+    movers = [   # (track, label, start centroid, end centroid)
+        (31, "car", (100, 200), (1300, 200)),    # along the top edge
+        (32, "car", (700, 100), (700, 900)),     # down through the reflex vertex
+        (33, "car", (100, 300), (1300, 700)),    # across the notch
+        (41, "person", (200, 100), (200, 900)),  # down the left edge
+        (42, "person", (100, 350), (1300, 350)),
+        (43, "person", (450, 900), (1000, 100)),
+    ]
+    actors += [synth.ActorScript(track_id=t, label=label, bbox_keys=(
+        (0, x0 - 10, y0 - 10, 20, 20), (dur, x1 - 10, y1 - 10, 20, 20)))
+        for t, label, (x0, y0), (x1, y1) in movers]
+    rules = ({"id": "cars", "kind": "high_volume_traffic", "window_ms": 2000,
+              "labels": ["car"],
+              "params": {"region": region, "count_threshold": 1.5}},
+             {"id": "busy", "kind": "high_volume_traffic", "window_ms": 2000,
+              "labels": ["car"],
+              "params": {"region": region, "count_threshold": 2.5}},
+             {"id": "walkers", "kind": "jaywalking", "window_ms": 2000,
+              "labels": ["person"],
+              "params": {"region": region, "min_frames": 2, "max_gap_frames": 1}})
+    return synth.Scenario(name="regions", duration_ms=dur, fps=30,
+                          resolution=synth.RES, actors=tuple(actors),
+                          rule_configs=rules, window_ms=2000,
+                          dropout_prob=0.1, seed=31)
+
+
 def _cases():
     """(case id, scenario) for every run whose output is pinned."""
     cases = [(sc.name, sc) for sc in synth.builtin_scenarios()]
@@ -192,6 +241,7 @@ def _cases():
     cases.append(("dense", _dense_scene()))
     cases.append(("mixed_labels", _mixed_labels_scene()))
     cases.append(("keypoints", _keypoint_scene()))
+    cases.append(("regions", _regions_scene()))
     return cases
 
 
@@ -259,6 +309,7 @@ DIGESTS = {
     'dense': ('7dd214451b1930664860a5d1d0554bb4141483fb9843e8485b4c5559ceaf3643', 'e794400a90e62f0c5dfe03f03e5ec9a037e615aa4649cfe007024e2439145ee7'),
     'mixed_labels': ('4d6c6620cb9ee9685b8499556bfa3e2036a1a3877b66c981edb6e9c8d0ab693a', '9046dd71a1551769c7934d014eb52ab29350be964e642f460bdd51bf90d54a54'),
     'keypoints': ('d7065a95d84c3a2734b7bacee0c2fe2d1e4f49cf7e68673a5e193a738e3d6ab2', '2227061ff444dcb15f1ff98d2a74f9bc3f26919a1f1c834f6a2b5a36ea778be0'),
+    'regions': ('64a3ff1134074b2a6efb92223d2c4179f14be91180f30c3a247fc72f50fe8f45', 'a11f9d3cc4fcf1c45658905ff29c62d8cefdf11f92a13660190d75d612d04417'),
 }
 
 
@@ -319,6 +370,24 @@ def test_keypoint_scene_fires_each_rule(tmp_path):
              for n in map(json.loads, out.read_text().splitlines())}
     assert fired == {("shake", (1, 2), "right"), ("punch", (3, 1), "left"),
                      ("red_person", (4,), None)}
+
+
+def test_regions_scene_counts_only_strictly_inside_centroids(tmp_path):
+    """Of the static boxes, only the cars at (600, 400) and (1000, 300)
+    count as traffic and only the persons at (700, 499) and (300, 300)
+    jaywalk: every centroid on a vertex or an edge is outside."""
+    sc = _regions_scene()
+    synth.generate(sc, str(tmp_path / "r.jsonl"), str(tmp_path / "r.truth"))
+    rules = tmp_path / "r.yaml"
+    rules.write_text(yaml.safe_dump({"rules": [dict(r) for r in sc.rule_configs]}))
+    out = tmp_path / "r.out"
+    assert main(["--quiet", "run", "--input", str(tmp_path / "r.jsonl"),
+                 "--rules", str(rules), "--out", str(out)]) == EXIT_OK
+    fired = {}
+    for note in map(json.loads, out.read_text().splitlines()):
+        fired.setdefault(note["rule_id"], set()).update(note["participants"])
+    assert fired == {"cars": {8, 9, 32, 33}, "busy": {8, 9, 32, 33},
+                     "walkers": {12, 14, 42, 43}}
 
 
 if __name__ == "__main__":
