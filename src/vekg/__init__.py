@@ -9,8 +9,7 @@ from .pipeline import run_pipeline
 from .rules import (EventRule, MatchNotification, RuleKind, RuleSet,
                     register_rules)
 from .tag import VekgTag, X, aggregate, edge_series, motion_series, reduction_report
-from .temporal import (AllenRelation, Interval, allen, no_motion_span,
-                       pelt_changepoints, trend)
+from .temporal import AllenRelation, Interval, allen, pelt_changepoints, trend
 from .windowing import WindowState, time_window
 
 __version__ = "0.1.0"

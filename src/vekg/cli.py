@@ -38,7 +38,8 @@ def load_rules_file(path) -> list:
             doc = yaml.safe_load(fh)
     except OSError as exc:
         raise VekgError(f"cannot read rules file {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:
+        # ValueError: a date 2020-13-45 or an integer past the digit limit
         raise VekgError(f"bad rules file {path}: {exc}") from exc
     if isinstance(doc, dict) and "rules" in doc:
         doc = doc["rules"]

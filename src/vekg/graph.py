@@ -32,7 +32,6 @@ KERNEL_RELATIONS = frozenset({
 # metric relation operations, evaluated per pair on the two boxes
 RELATION_FUNCS = {
     "distance": geometry.centroid_distance,
-    "overlap_ratio": geometry.overlap_ratio,
 }
 
 RELATIONS = KERNEL_RELATIONS | RELATION_FUNCS.keys()

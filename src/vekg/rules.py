@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
+import reprlib
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
@@ -21,7 +22,7 @@ from .errors import InvalidRegion, InvalidRuleConfig, NonPositiveLength
 from .geometry import BoundingBox, Region, SpatialRelationClass, DirectionClass
 from .graph import RelationNeeds, relation_needs
 from .tag import POSITION, VekgTag, X, edge_series, motion_series
-from .temporal import Interval, Trend, no_motion_span, pelt_changepoints, trend
+from .temporal import Interval, Trend, pelt_changepoints, trend
 
 log = logging.getLogger(__name__)
 
@@ -87,6 +88,20 @@ def _penalty(raw) -> Optional[float]:
     return value
 
 
+def _quote(raw) -> str:
+    """``raw``'s repr, one level deep: YAML aliases let a short rule file
+    hold a value whose repr or str is exponentially long."""
+    short = reprlib.Repr()
+    short.maxlevel = 1
+    return short.repr(raw)
+
+
+def _text(raw) -> str:
+    if not isinstance(raw, (str, int, float)):
+        raise TypeError("must be a string or a number")
+    return str(raw)
+
+
 def _region(raw) -> Region:
     return Region(tuple((_number(p[0]), _number(p[1])) for p in raw))
 
@@ -135,7 +150,7 @@ KINDS = {
         "region": (_region, REQUIRED), "min_frames": (_integer, 3),
         "max_gap_frames": (_integer, 6)}),
     RuleKind.ATTRIBUTE_QUERY: KindSpec(("car",), {
-        "attribute": (str, REQUIRED), "value": (str, REQUIRED)}),
+        "attribute": (_text, REQUIRED), "value": (_text, REQUIRED)}),
 }
 
 
@@ -176,13 +191,17 @@ def register_rules(configs: Sequence[dict]) -> RuleSet:
     seen_ids = set()
     for cfg in configs:
         if not isinstance(cfg, dict):
-            raise InvalidRuleConfig(f"rule config must be a mapping, got {cfg!r}")
+            raise InvalidRuleConfig(
+                f"rule config must be a mapping, got {_quote(cfg)}")
+        name = cfg.get("kind")
         try:
-            kind = RuleKind(cfg["kind"])
-        except (KeyError, ValueError, TypeError) as exc:
-            raise InvalidRuleConfig(f"bad or missing rule kind: {cfg.get('kind')!r}") from exc
+            kind = RuleKind(name if isinstance(name, str) else None)
+        except ValueError as exc:
+            raise InvalidRuleConfig(
+                f"bad or missing rule kind: {_quote(name)}") from exc
         spec = KINDS[kind]
-        rule_id = str(cfg.get("id") or cfg.get("rule_id") or "")
+        rule_id = _parse(_text, cfg.get("id") or cfg.get("rule_id") or "",
+                         "id", "?")
         if not rule_id:
             raise InvalidRuleConfig("rule needs an id")
         if rule_id in seen_ids:
@@ -225,7 +244,7 @@ def _parse(parse: Callable, raw, key: str, rule_id: str):
     except (TypeError, ValueError, LookupError, OverflowError,
             InvalidRegion) as exc:
         raise InvalidRuleConfig(
-            f"rule {rule_id}: bad {key!r} = {raw!r}: {exc}") from exc
+            f"rule {rule_id}: bad {key!r} = {_quote(raw)}: {exc}") from exc
 
 
 # --- shared helpers ---
@@ -287,6 +306,14 @@ def _region_flags(tag: VekgTag, tracks: Sequence[int],
             for objs in frames]
 
 
+def _still_spans(motion: Sequence, speed: float,
+                 gap: int) -> List[Tuple[int, int]]:
+    """Runs of frames moving at most ``speed``, bridging up to ``gap``
+    moving, NaN or absent frames: (start, last) inclusive ordinals."""
+    return list(_runs_with_gap(
+        [v is not X and v <= speed or None for v in motion], gap, 1))
+
+
 # --- evaluators ---
 
 def eval_fall(tag: VekgTag, rule: EventRule) -> List[MatchNotification]:
@@ -297,49 +324,37 @@ def eval_fall(tag: VekgTag, rule: EventRule) -> List[MatchNotification]:
     out = []
     for track in _tracks_with_label(tag, rule.object_labels):
         positions = tag.edges[(track, track)][POSITION]
-        ratio = [b.w / b.h if b is not X else X for b in positions]
         # change-point detection on the gap-compressed ratio series, so a
         # dropped detection right at the transition cannot hide the jump
-        idx = [i for i, v in enumerate(ratio) if v is not X]
-        seg = [float(ratio[i]) for i in idx]
+        idx = [i for i, b in enumerate(positions) if b is not X]
+        seg = [positions[i].w / positions[i].h for i in idx]
         if len(seg) < 4:
             continue
         cps = pelt_changepoints(seg, penalty=p["penalty"])
-        motion = motion_series(tag, track)
-        still = _merge_spans(
-            no_motion_span(motion, p["no_motion_speed_px"], 1), gap)
+        still = _still_spans(motion_series(tag, track),
+                             p["no_motion_speed_px"], gap)
         bounds = [0] + cps + [len(seg)]
         for ci, cp in enumerate(cps):
             before = seg[bounds[ci]:cp]
             after = seg[cp:bounds[ci + 2]]
             # the ratio must jump up by a clear margin (person goes
-            # horizontal); epsilon-level increases are detection noise
-            if sum(after) / len(after) <= jump * sum(before) / len(before):
+            # horizontal); epsilon-level increases are detection noise.
+            # jump * sum / n, not jump * mean: the two round and overflow
+            # differently
+            sum_before = sum(before)
+            mean_after = sum(after) / len(after)
+            if mean_after <= jump * sum_before / len(before):
                 continue
             cp_abs = idx[cp]
-            span = next((s for s in still
-                         if s.length >= p["still_frames"]
-                         and cp_abs <= s.start <= cp_abs + gap),
-                        None)
-            if span is None:
-                continue
-            out.append(_note(tag, rule, cp_abs, span.end - 1, (track,), {
-                "changepoint_frame": cp_abs,
-                "ratio_before": round(sum(before) / len(before), 3),
-                "ratio_after": round(sum(after) / len(after), 3),
-                "still_frames": span.length}))
+            for s, e in still:
+                if e - s + 1 >= p["still_frames"] and cp_abs <= s <= cp_abs + gap:
+                    out.append(_note(tag, rule, cp_abs, e, (track,), {
+                        "changepoint_frame": cp_abs,
+                        "ratio_before": round(sum_before / len(before), 3),
+                        "ratio_after": round(mean_after, 3),
+                        "still_frames": e - s + 1}))
+                    break
     return out
-
-
-def _merge_spans(spans, max_gap: int):
-    """Join consecutive intervals separated by at most max_gap slots."""
-    merged = []
-    for s in spans:
-        if merged and s.start - merged[-1].end <= max_gap:
-            merged[-1] = Interval(merged[-1].start, s.end)
-        else:
-            merged.append(s)
-    return merged
 
 
 def _velocity(positions: Sequence, i: int, max_back: int = 6):
@@ -456,7 +471,7 @@ def _two_phase(beta: list, theta_list: List[list], epsilon: float,
     ordinals (start, split, end) or None.
     """
     valid = [i for i, v in enumerate(beta) if v is not X]
-    if len(valid) < 2 * min_phase:
+    if not valid or len(valid) < 2 * min_phase:
         return None
     i0, i1 = valid[0], valid[-1]
     m = min(valid, key=lambda i: beta[i])

@@ -223,21 +223,3 @@ def segmentation_cost(series: Sequence[float], changepoints: Sequence[int],
     for i in range(len(bounds) - 1):
         total += cost(bounds[i], bounds[i + 1])
     return total
-
-
-def no_motion_span(motion: Sequence, alpha: float,
-                   min_len: int) -> List[Interval]:
-    """Maximal runs of >= min_len consecutive speeds <= alpha (X breaks runs)."""
-    spans = []
-    start = None
-    for i, v in enumerate(motion):
-        still = v is not X and v <= alpha
-        if still and start is None:
-            start = i
-        elif not still and start is not None:
-            if i - start >= min_len:
-                spans.append(Interval(start, i))
-            start = None
-    if start is not None and len(motion) - start >= min_len:
-        spans.append(Interval(start, len(motion)))
-    return spans

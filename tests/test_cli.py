@@ -301,9 +301,9 @@ class TestRuleParams:
     """A bad rule config is rejected at load, whatever the stream holds."""
 
     @staticmethod
-    def run_with(tmp_path, actors, rule, doc=None, args=()):
+    def run_with(tmp_path, actors, rule, doc=None, args=(), text=None):
         """Run 30 frames of ``actors`` under the rules file ``doc``, by
-        default ``{"rules": [rule]}``."""
+        default ``{"rules": [rule]}``, or under the YAML ``text``."""
         stream = tmp_path / "s.jsonl"
         lines = ['{"format":"vekg-detections","version":1,'
                  '"resolution":[640,480]}']
@@ -315,7 +315,9 @@ class TestRuleParams:
                                      "objects": objs}))
         stream.write_text("\n".join(lines) + "\n")
         rules = tmp_path / "r.yaml"
-        rules.write_text(yaml.safe_dump({"rules": [rule]} if doc is None else doc))
+        if text is None:
+            text = yaml.safe_dump({"rules": [rule]} if doc is None else doc)
+        rules.write_text(text)
         out = tmp_path / "o.jsonl"
         rc = main(["--quiet", "run", "--input", str(stream),
                    "--rules", str(rules), "--out", str(out), *args])
@@ -372,6 +374,52 @@ class TestRuleParams:
                                 None, doc=doc)
         assert rc == EXIT_INPUT
         assert not out.exists()   # rejected before the stream was read
+
+    def test_deeply_nested_rules_file_exits_2(self, tmp_path, capsys):
+        depth = 2000   # past the interpreter's recursion limit
+        rc, out = self.run_with(tmp_path, [], None,
+                                text="rules: " + "[" * depth + "]" * depth)
+        assert rc == EXIT_INPUT
+        assert "recursion" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        "rules: [{id: f, kind: fall_detection, window_ms: 2020-13-45}]",
+        "rules: [{id: f, kind: fall_detection, window_ms: %s}]" % ("9" * 5000),
+    ], ids=["bad-date", "integer-past-digit-limit"])
+    def test_yaml_value_that_cannot_be_built_exits_2(self, tmp_path, text):
+        rc, out = self.run_with(tmp_path, [], None, text=text)
+        assert rc == EXIT_INPUT
+        assert not out.exists()
+
+    # six levels of 9-way aliases: a 300-byte file whose deepest value
+    # prints as 2.8 MB, and nine levels would print as about 2 GB
+    ALIASES = "a: &l0 [x, x, x, x, x, x, x, x, x]\n" + "".join(
+        f"b{k}: &l{k} [{', '.join([f'*l{k - 1}'] * 9)}]\n" for k in range(1, 6))
+
+    @pytest.mark.parametrize("rules", [
+        "[*l5]",
+        "[{id: r, kind: *l5}]",
+        "[{id: *l5, kind: fall_detection}]",
+        "[{id: t, kind: high_volume_traffic, params: {region: [[0, 0], [9, 0],"
+        " [9, 9]], count_threshold: *l5}}]",
+        "[{id: q, kind: attribute_query, params: {attribute: color,"
+        " value: *l5}}]",
+    ], ids=["rule", "kind", "id", "count-threshold", "attribute-value"])
+    def test_aliased_value_exits_2_with_a_short_message(self, tmp_path, capsys,
+                                                        rules):
+        rc, _ = self.run_with(tmp_path, [], None,
+                              text=self.ALIASES + "rules: " + rules)
+        assert rc == EXIT_INPUT
+        assert len(capsys.readouterr().err) < 1024
+
+    def test_numeric_id_and_attribute_value_load(self, tmp_path):
+        rc, out = self.run_with(tmp_path, [(1, "car", [10, 10, 40, 90])], None,
+                                doc={"rules": [
+                                    {"id": 7, "kind": "attribute_query",
+                                     "params": {"attribute": 3, "value": 1.5}}]})
+        assert rc == EXIT_OK
+        assert out.read_text() == ""
 
     def test_empty_rule_list_with_window_length_runs(self, tmp_path):
         rc, out = self.run_with(tmp_path, [(1, "person", [10, 10, 40, 90])],
@@ -439,6 +487,27 @@ def test_ride_speed_of_a_far_rider_is_not_an_internal_error(tmp_path):
     stream.write_text("\n".join(lines) + "\n")
     assert main(["--quiet", "run", "--input", str(stream), "--rules", str(rules),
                  "--out", str(tmp_path / "o.jsonl")]) == EXIT_OK
+
+
+@pytest.mark.parametrize("kind", ["handshake", "punch"])
+def test_no_minimum_phase_is_not_an_internal_error(tmp_path, kind):
+    # two persons never seen together: every wrist distance is X, and a
+    # zero min_phase_frames let the empty series through to be indexed
+    arm = {"right_shoulder": [10, 10], "right_wrist": [12, 30],
+           "right_hip": [10, 50]}
+    stream = tmp_path / "s.jsonl"
+    lines = ['{"format":"vekg-detections","version":1,"resolution":[640,480]}']
+    for i in range(10):
+        lines.append(json.dumps({"frame": i, "ts_ms": 33 * i, "objects": [
+            {"track": 1 + i // 5, "label": "person", "conf": 0.9,
+             "bbox": [0, 0, 10, 50], "keypoints": arm}]}))
+    stream.write_text("\n".join(lines) + "\n")
+    rules = tmp_path / "r.yaml"
+    rules.write_text(yaml.safe_dump({"rules": [
+        {"id": "h", "kind": kind, "params": {"min_phase_frames": 0}}]}))
+    rc = main(["--quiet", "run", "--input", str(stream), "--rules", str(rules),
+               "--out", str(tmp_path / "o.jsonl")])
+    assert rc == EXIT_OK
 
 
 class TestBench:

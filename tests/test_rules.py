@@ -209,6 +209,12 @@ class TestTwoPhase:
         theta = [10.0, 20.0, 30.0, 20.0, 10.0]
         assert _two_phase(beta, [theta], 0.1, 5) is None
 
+    @pytest.mark.parametrize("min_phase", [0, -1])
+    def test_no_distance_with_no_minimum_phase(self, min_phase):
+        # two tracks never seen together: every distance slot is X
+        assert _two_phase([X] * 6, [[X] * 6], 0.1, min_phase) is None
+        assert _two_phase([], [[]], 0.1, min_phase) is None
+
 
 class TestHandshakePunchScenarios:
     """Closed-loop checks through the scripted keypoint scenarios."""

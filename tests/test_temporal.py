@@ -13,8 +13,7 @@ from vekg.errors import SeriesTooShort
 from vekg.tag import X
 from vekg.temporal import (CONVERSE, AllenRelation, Interval, Trend,
                            _l2_cost_factory, allen, default_penalty,
-                           no_motion_span, pelt_changepoints,
-                           segmentation_cost, trend)
+                           pelt_changepoints, segmentation_cost, trend)
 
 
 def all_intervals(hi=5):
@@ -286,21 +285,3 @@ class TestPeltMatchesScalarReference:
                        [0, 2.5, math.inf])
             self.check([1.0, 1.0, 5.0, 5.0, 1.0], [math.inf, math.nan])
             self.check([1.0, math.inf, 2.0])
-
-
-class TestNoMotionSpan:
-    def test_all_still(self):
-        assert no_motion_span([0.0] * 6, 0.5, 3) == [Interval(0, 6)]
-
-    def test_run_scan(self):
-        assert no_motion_span([0, 0, 7, 0, 0, 0], 1, 3) == [Interval(3, 6)]
-
-    def test_all_moving(self):
-        assert no_motion_span([5, 5, 5], 1, 1) == []
-
-    def test_x_breaks_runs(self):
-        assert no_motion_span([0, 0, X, 0, 0], 0.5, 2) == \
-            [Interval(0, 2), Interval(3, 5)]
-
-    def test_min_len_filter(self):
-        assert no_motion_span([0, 9, 0, 0], 0.5, 2) == [Interval(2, 4)]
