@@ -47,10 +47,6 @@ class UnknownNode(VekgError):
     """A track id is not a node of the aggregated graph."""
 
 
-class RelationVocabularyMismatch(VekgError):
-    """Window graphs do not materialize the relations required for aggregation."""
-
-
 # --- windowing / temporal ---
 
 class NonPositiveLength(VekgError):

@@ -1,14 +1,16 @@
-"""Per-frame complete directed labeled graphs over detected objects.
+"""Per-frame complete directed labeled graphs, and the one pair kernel.
 
 Each frame becomes a graph with one node per object and n(n-1)
-directed edges.  Relations are evaluated only where the registered
-rules read them: a rule set's needs map an ordered label pair to its
-relations, ``{(label_u, label_v): relations}``, and an edge (u, v) is
-evaluated, in one pass over the frame, only when the two objects carry
-one of those label pairs in that frame.  A plain set of relation names
-means those relations on every ordered pair.  An edge is stored only
-when it carries a value, so with no need ``edges`` is empty and the
-n(n-1) edges are counted, not kept.
+directed edges.  A rule set's needs map an ordered label pair to the
+relations its rules read, ``{(label_u, label_v): relations}``; a plain
+set of relation names means those relations on every ordered pair.
+``pair_series`` decides the needed relations of every matching ordered
+track pair over a run of frames, in one pass.  A run calls it once per
+window, on the TAG's node frames (see ``tag.aggregate``), and builds its
+frame graphs with no needs.  A frame graph built with needs carries the
+same kernel's values, over that one frame, on its matching pairs' edges.
+An edge is stored only when it carries a value, so with no need
+``edges`` is empty and the n(n-1) edges are counted, not kept.
 """
 
 from __future__ import annotations
@@ -67,6 +69,82 @@ def relation_needs(required) -> RelationNeeds:
     return needs
 
 
+class _DontCare:
+    """Singleton marker for undefined series slots."""
+
+    _instance = None
+
+    def __new__(cls):
+        if cls._instance is None:
+            cls._instance = super().__new__(cls)
+        return cls._instance
+
+    def __repr__(self):
+        return "X"
+
+
+X = _DontCare()
+
+
+def pair_series(tracks, nframes: int,
+                needs: RelationNeeds) -> Dict[Tuple[int, int], Dict[str, list]]:
+    """Each needed ordered track pair's ``{relation: series}``, in one pass.
+
+    ``tracks`` maps a track id to ``(label, objects)``: its node label and
+    its object at each of ``nframes`` frames, None where absent.  A track
+    pairs by its node label (every track is ANY under ALL_PAIRS).  A slot
+    holds the frame's value where both objects are present and, under
+    label-pair needs, carry their node's label; every other slot is X.
+    Each object's edge coordinates and centroid are read once.
+    """
+    topology_code = geometry.topology_code
+    topology_sets = geometry.TOPOLOGY_SETS
+    direction_of = geometry.direction_of
+    scoped = ALL_PAIRS not in needs
+    # per label: (track, per frame (x, y, x2, y2, cx, cy, box) or None)
+    rows: Dict[Optional[str], list] = {label: [] for key in needs for label in key}
+    for track, (label, objects) in tracks.items():
+        group = rows.get(label if scoped else ANY)
+        if group is None:
+            continue
+        coords = []
+        for o in objects:
+            if o is None or (scoped and o.label != label):
+                coords.append(None)
+                continue
+            b = o.bbox
+            x, y, w, h = b.x, b.y, b.w, b.h
+            coords.append((x, y, x + w, y + h, x + w / 2.0, y + h / 2.0, b))
+        group.append((track, coords))
+    out: Dict[Tuple[int, int], Dict[str, list]] = {}
+    for (label_u, label_v), required in needs.items():
+        metric = [(rel, RELATION_FUNCS[rel]) for rel in required
+                  if rel in RELATION_FUNCS]
+        for u, cu in rows[label_u]:
+            for v, cv in rows[label_v]:
+                if u == v:
+                    continue
+                series = {rel: [X] * nframes for rel in required}
+                topo = series.get("topology")
+                direc = series.get("direction")
+                metric_slots = [(series[rel], fn) for rel, fn in metric]
+                for i, a in enumerate(cu):
+                    b = cv[i]
+                    if a is None or b is None:
+                        continue
+                    ax, ay, ax2, ay2, acx, acy, abox = a
+                    bx, by, bx2, by2, bcx, bcy, bbox = b
+                    if topo is not None:
+                        topo[i] = topology_sets[topology_code(
+                            ax, ay, ax2, ay2, bx, by, bx2, by2)]
+                    if direc is not None:
+                        direc[i] = direction_of(acx, acy, bcx, bcy)
+                    for slots, fn in metric_slots:
+                        slots[i] = fn(abox, bbox)
+                out[(u, v)] = series
+    return out
+
+
 @dataclass(frozen=True)
 class VekgGraph:
     """Complete directed labeled graph of one frame."""
@@ -74,64 +152,25 @@ class VekgGraph:
     timestamp: int
     nodes: Tuple[ObjectNode, ...]
     edges: Dict[Tuple[int, int], Dict[str, object]]
-    needs: RelationNeeds
     build_ms: float = 0.0
-
-
-def _pair_relations(objects, needs: RelationNeeds) -> Dict[Tuple[int, int], Dict[str, object]]:
-    """Each needed ordered pair's relations, in one pass over the frame.
-
-    The frame's objects are grouped by label once (all in one group for
-    ALL_PAIRS), and each needed object's edge coordinates and centroid
-    are read once.
-    """
-    topology_code = geometry.topology_code
-    topology_sets = geometry.TOPOLOGY_SETS
-    direction_of = geometry.direction_of
-    scoped = ALL_PAIRS not in needs
-    rows: Dict[Optional[str], list] = {label: [] for key in needs for label in key}
-    for o in objects:
-        group = rows.get(o.label if scoped else ANY)
-        if group is not None:
-            b = o.bbox
-            x, y, w, h = b.x, b.y, b.w, b.h
-            group.append((o.track_id, x, y, x + w, y + h,
-                          x + w / 2.0, y + h / 2.0, b))
-    edges: Dict[Tuple[int, int], Dict[str, object]] = {}
-    for (label_u, label_v), required in needs.items():
-        topo = "topology" in required
-        direc = "direction" in required
-        metric = [(rel, RELATION_FUNCS[rel]) for rel in required
-                  if rel in RELATION_FUNCS]
-        for u, ax, ay, ax2, ay2, acx, acy, abox in rows[label_u]:
-            for v, bx, by, bx2, by2, bcx, bcy, bbox in rows[label_v]:
-                if u == v:
-                    continue
-                vals: Dict[str, object] = {}
-                if topo:
-                    vals["topology"] = topology_sets[topology_code(
-                        ax, ay, ax2, ay2, bx, by, bx2, by2)]
-                if direc:
-                    vals["direction"] = direction_of(acx, acy, bcx, bcy)
-                if metric:
-                    for rel, fn in metric:
-                        vals[rel] = fn(abox, bbox)
-                edges[(u, v)] = vals
-    return edges
 
 
 def build_frame_graph(frame: FrameDetections, required_relations) -> VekgGraph:
     """Build the frame's graph, evaluating exactly the needed relations.
 
     ``required_relations`` is a needs mapping or a plain relation set (see
-    ``relation_needs``).
+    ``relation_needs``).  The edges are ``pair_series`` over one frame.
     """
     needs = relation_needs(required_relations)
     t0 = time.perf_counter()
-    edges = _pair_relations(frame.objects, needs) if needs else {}
+    edges = {}
+    if needs:
+        tracks = {o.track_id: (o.label, (o,)) for o in frame.objects}
+        edges = {pair: {rel: slots[0] for rel, slots in series.items()}
+                 for pair, series in pair_series(tracks, 1, needs).items()}
     build_ms = (time.perf_counter() - t0) * 1000.0
     return VekgGraph(timestamp=frame.timestamp, nodes=tuple(frame.objects),
-                     edges=edges, needs=needs, build_ms=build_ms)
+                     edges=edges, build_ms=build_ms)
 
 
 def stream_graphs(frames, required_relations) -> Iterator[VekgGraph]:

@@ -79,6 +79,13 @@ def _integer(raw) -> int:
     return value
 
 
+def _count(raw) -> int:
+    value = _integer(raw)
+    if value < 0:
+        raise ValueError("must be >= 0")
+    return value
+
+
 def _penalty(raw) -> Optional[float]:
     if raw is None:
         return None   # selects the BIC default
@@ -124,16 +131,16 @@ class KindSpec(NamedTuple):
     relations: FrozenSet[str] = frozenset()
 
 
-_RIDE = {"min_speed_px": (_number, 2.0), "min_frames": (_integer, 10),
-         "max_gap_frames": (_integer, 6)}
-_ARM = {"trend_epsilon": (_number, 0.1), "min_phase_frames": (_integer, 5)}
+_RIDE = {"min_speed_px": (_number, 2.0), "min_frames": (_count, 10),
+         "max_gap_frames": (_count, 6)}
+_ARM = {"trend_epsilon": (_number, 0.1), "min_phase_frames": (_count, 5)}
 _RIDE_RELATIONS = frozenset({"topology", "direction"})
 
 KINDS = {
     RuleKind.FALL_DETECTION: KindSpec(("person",), {
         "no_motion_speed_px": (_number, 6.0),   # the "no motion" speed threshold
-        "still_frames": (_integer, 8),
-        "gap_frames": (_integer, 45),
+        "still_frames": (_count, 8),
+        "gap_frames": (_count, 45),
         "min_aspect_jump": (_number, 1.2),      # post/pre aspect-ratio mean factor
         "penalty": (_penalty, None),
     }),
@@ -145,10 +152,10 @@ KINDS = {
         "region": (_region, REQUIRED), "count_threshold": (_number, REQUIRED)}),
     RuleKind.PARKING_SLOT_STATUS: KindSpec(("car",), {
         "slots": (_boxes, REQUIRED), "overlap_threshold": (_number, REQUIRED),
-        "max_gap_frames": (_integer, 6), "min_frames": (_integer, 3)}),
+        "max_gap_frames": (_count, 6), "min_frames": (_count, 3)}),
     RuleKind.JAYWALKING: KindSpec(("person",), {
-        "region": (_region, REQUIRED), "min_frames": (_integer, 3),
-        "max_gap_frames": (_integer, 6)}),
+        "region": (_region, REQUIRED), "min_frames": (_count, 3),
+        "max_gap_frames": (_count, 6)}),
     RuleKind.ATTRIBUTE_QUERY: KindSpec(("car",), {
         "attribute": (_text, REQUIRED), "value": (_text, REQUIRED)}),
 }
@@ -180,7 +187,7 @@ class RuleSet:
         lengths = {r.window_ms for r in self.rules}
         if len(lengths) > 1:
             raise InvalidRuleConfig(
-                f"rules disagree on window length {sorted(lengths)}; "
+                f"rules disagree on window length {_quote(sorted(lengths))}; "
                 "pass an explicit override")
         return next(iter(lengths))
 

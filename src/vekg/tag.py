@@ -4,47 +4,32 @@ The window's per-frame graphs collapse into a single complete directed
 graph whose nodes are the distinct tracks seen in the window.  Each node
 keeps its object at every window frame (None where absent) and has a
 self-loop edge storing its per-frame position.  Pair series are built
-only where the rules read them: for each needed ordered label pair (see
+only where the rules read them, once per window, by ``graph.pair_series``
+over the nodes' frames: for each needed ordered label pair (see
 ``graph.relation_needs``), every ordered pair of tracks whose node labels
 match it carries a series of length |T| per needed relation.  A slot
 holds the frame's value when both objects are present in that frame and
 carry those labels there, and a don't-care marker (X) otherwise; a pair
-never co-present gets an all-X series.  With no need no pair edge is
-stored: the graph still has n^2 edges, counted from its nodes.  Memory
-is O(n * T) for the nodes plus O(T) per needed relation of each matched
-pair.
+never co-present gets an all-X series.  The frame graphs' own edges are
+not read.  With no need no pair edge is stored: the graph still has n^2
+edges, counted from its nodes.  Memory is O(n * T) for the nodes plus
+O(T) per needed relation of each matched pair.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
-from .errors import RelationVocabularyMismatch, UnknownNode, UnknownRelation
+from .errors import UnknownNode, UnknownRelation
 from .geometry import point_distance
-from .graph import ANY, ALL_PAIRS, RelationNeeds, relation_needs
+from .graph import X, pair_series, relation_needs
 from .ingest import ObjectNode
 from .windowing import WindowState
 
 POSITION = "position"   # the self-loop relation
-
-
-class _DontCare:
-    """Singleton marker for undefined series slots."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "X"
-
-
-X = _DontCare()
 
 
 @dataclass
@@ -83,6 +68,8 @@ class VekgTag:
     nodes: Dict[int, TagNode]
     # (u, u) -> {"position" -> series}; (u, v) -> {relation -> series}
     edges: Dict[Tuple[int, int], Dict[str, list]]
+    # time spent deciding the pair series, part of the VEKG's construction
+    pairs_ms: float = 0.0
 
     @property
     def frame_count(self) -> int:
@@ -97,14 +84,6 @@ class VekgTag:
         return gaps[len(gaps) // 2] if gaps else 1
 
 
-def _covers(graph_needs: RelationNeeds, needs: RelationNeeds) -> bool:
-    """Whether a graph built for ``graph_needs`` holds every value ``needs``
-    reads; ALL_PAIRS covers every label pair."""
-    everywhere = graph_needs.get(ALL_PAIRS, frozenset())
-    return all(rels <= graph_needs.get(key, everywhere)
-               for key, rels in needs.items())
-
-
 def aggregate(window: WindowState, required_relations=()) -> VekgTag:
     """Collapse a window's graph stream into one VekgTag.
 
@@ -112,11 +91,6 @@ def aggregate(window: WindowState, required_relations=()) -> VekgTag:
     ``graph.relation_needs``).
     """
     needs = relation_needs(required_relations)
-    for g in window.graphs:
-        if g.needs is not needs and not _covers(g.needs, needs):
-            raise RelationVocabularyMismatch(
-                f"window graph at t={g.timestamp} lacks needs {dict(needs)}")
-
     timestamps = tuple(g.timestamp for g in window.graphs)
     nframes = len(timestamps)
 
@@ -135,35 +109,14 @@ def aggregate(window: WindowState, required_relations=()) -> VekgTag:
         (u, u): {POSITION: [o.bbox if o is not None else X
                             for o in nodes[u].frames]}
         for u in tids}
+    t0 = time.perf_counter()
     if needs:
-        scoped = ALL_PAIRS not in needs
-        label = {u: nodes[u].label if scoped else ANY for u in tids}
-        tracks: Dict[Optional[str], List[int]] = {}
-        for u in tids:
-            tracks.setdefault(label[u], []).append(u)
-        for (label_u, label_v), rels in needs.items():
-            for u in tracks.get(label_u, ()):
-                for v in tracks.get(label_v, ()):
-                    if u != v:
-                        edges[(u, v)] = {rel: [X] * nframes for rel in rels}
-        # a slot holds a value only while both tracks carry their node's
-        # labels, which can fail only if some track changes label
-        relabelled = scoped and any(
-            o is not None and o.label != label[u]
-            for u in tids for o in nodes[u].frames)
-        for i, g in enumerate(window.graphs):
-            for (u, v), values in g.edges.items():
-                series = edges.get((u, v))
-                if series is None:
-                    continue
-                if relabelled and (nodes[u].frames[i].label != label[u]
-                                   or nodes[v].frames[i].label != label[v]):
-                    continue
-                for rel, slots in series.items():
-                    slots[i] = values[rel]
+        edges.update(pair_series(
+            {u: (nodes[u].label, nodes[u].frames) for u in tids}, nframes, needs))
+    pairs_ms = (time.perf_counter() - t0) * 1000.0
 
     return VekgTag(start=window.start, end=window.end, timestamps=timestamps,
-                   nodes=nodes, edges=edges)
+                   nodes=nodes, edges=edges, pairs_ms=pairs_ms)
 
 
 def edge_series(tag: VekgTag, u: int, v: int, relation: str) -> list:

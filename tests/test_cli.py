@@ -365,6 +365,23 @@ class TestRuleParams:
         assert rc == EXIT_INPUT
 
 
+    def test_window_disagreement_quotes_a_huge_length_short(self, tmp_path, capsys):
+        # window_ms: 1e300 loads as a 301-digit whole number
+        rc, out = self.run_with(tmp_path, [], None, doc={"rules": [
+            {"id": "a", "kind": "fall_detection", "window_ms": 400},
+            {"id": "b", "kind": "fall_detection", "window_ms": 1e300}]})
+        assert rc == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "disagree on window length [400, 1000" in err and len(err) < 200
+        assert not out.exists()
+
+    def test_negative_count_exits_2_before_any_output(self, tmp_path, capsys):
+        rc, out = self.run_with(tmp_path, [(1, "person", [10, 10, 40, 90])], {
+            "id": "f", "kind": "fall_detection", "params": {"still_frames": -3}})
+        assert rc == EXIT_INPUT
+        assert "must be >= 0" in capsys.readouterr().err
+        assert not out.exists()   # rejected before any output was opened
+
     @pytest.mark.parametrize("doc", [{"rules": []}, [], {"rules": 5}, 5,
                                      {"rules": None}, {"rules": "fall"}],
                              ids=["empty-list", "bare-empty-list", "rules-int",

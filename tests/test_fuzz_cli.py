@@ -1,6 +1,6 @@
 """Fuzzing the whole CLI: ``vekg run`` on random streams and rules.
 
-Two slices.  Random streams meet random ``high_volume_traffic`` and
+Three slices.  Random streams meet random ``high_volume_traffic`` and
 ``jaywalking`` rules: regions are simple shapes placed at scales and
 offsets up to +-1e300, or random vertex lists (mostly rejected), and
 boxes sit on the region's grid or anywhere up to 1e308, with integers
@@ -10,13 +10,18 @@ every other rule kind: tracks walk, stop and turn horizontal, or jump
 anywhere up to +-1.7e308, switch labels mid-track, carry random
 attributes and a random subset of the six arm keypoints, near the box or
 up to +-1.7e308, under valid random params (a zero or null ``penalty``,
-zero frame counts, slots up to 1e300).
+zero frame counts, slots up to 1e300).  And random rule files meet a
+fixed stream: wrong types, nested values, unknown keys, shared (aliased)
+rules, and negative, huge and non-finite numbers, in every place a rule
+file holds a value; there the run exits 0, 1 or 2 with a short stderr.
 
 Whatever the input, the run exits 0 or 2, never 3 ("internal error"):
 no numpy warning may escape a kernel, since pytest turns warnings into
 errors and ``main`` reports any stray exception as exit 3.
 """
 
+import contextlib
+import io
 import json
 import os
 import tempfile
@@ -25,7 +30,8 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vekg.cli import EXIT_INPUT, EXIT_OK, main
+from vekg.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
+from vekg.rules import KINDS, REQUIRED
 
 HEADER = {"format": "vekg-detections", "version": 1, "resolution": [1920, 1080]}
 LABELS = ["car", "person", "bike"]
@@ -245,3 +251,138 @@ def rule_runs(draw):
 @given(rule_runs())
 def test_run_exits_0_or_2_on_random_input_for_every_other_kind(run):
     run_exits_0_or_2(*run)
+
+
+# --- random rule files ---
+
+# what a rule file may hold where a number is read: negative, huge,
+# non-finite or fractional numbers, and numeric strings
+ODD_NUMBER = st.sampled_from([-1, -5, 0.5, -0.0, 2 ** 63, -2 ** 63, 10 ** 30,
+                              1e300, -1e300, 1.7e308, float("inf"), float("-inf"),
+                              float("nan"), "12", "-3", "1e400", "nan"]) | st.floats()
+SCALAR = (st.none() | st.booleans() | ODD_NUMBER | st.integers() | st.text(max_size=8)
+          | st.sampled_from(["person", "", "x" * 3000]))
+JUNK = st.recursive(SCALAR, lambda inner: (
+    st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6) | st.integers(), inner, max_size=3)),
+    max_leaves=6)
+BIG = st.sampled_from([0, 1e-300, 1e300, 1.7e308]) | st.floats(0, 1e300)
+SCALE = st.sampled_from([1, 2 ** 60, 1e300])
+PARAM_NAMES = sorted({name for spec in KINDS.values() for name in spec.params})
+
+
+def one_in(draw, n):
+    """True about once in ``n`` draws (hypothesis favours the ends of a
+    range, so test a value from its middle)."""
+    return draw(st.integers(0, n - 1)) == n // 2
+
+
+def shaped(draw, name):
+    """A well-formed value of the param ``name``, up to huge sizes."""
+    if name == "region":
+        scale = draw(SCALE)
+        return [[x * scale, y * scale] for x, y in draw(st.sampled_from(SHAPES))]
+    if name == "slots":
+        scale = draw(SCALE)
+        return [[v * scale for v in slot] for slot in
+                draw(st.lists(st.sampled_from([[100, 100, 40, 20], [0, 40, 90, 90]]),
+                              min_size=1, max_size=2))]
+    if name in ("attribute", "value"):
+        return draw(st.sampled_from(["color", "red", 5]))
+    if name == "penalty":
+        return draw(st.none() | BIG)
+    if name.endswith("frames"):
+        return draw(st.integers(0, 60) | st.sampled_from([2 ** 63, 10 ** 30]))
+    if name == "overlap_threshold":
+        return draw(st.floats(0, 1))
+    if name == "trend_epsilon":
+        return draw(st.floats(-1, 1) | BIG)
+    return draw(BIG)
+
+
+@st.composite
+def rule_configs(draw, key, window_ms):
+    """One well-formed rule of a random kind, then up to two faults: a
+    value of another type or an odd number, a missing or unknown key, or a
+    param of another kind."""
+    kind = draw(st.sampled_from(list(KINDS)))
+    params = KINDS[kind].params
+    rule = {"id": key, "kind": kind.value, "window_ms": window_ms,
+            "params": {name: shaped(draw, name) for name in params
+                       if draw(st.booleans()) or params[name][1] is REQUIRED}}
+    if draw(st.booleans()):
+        rule["labels"] = list(draw(st.sampled_from(
+            [KINDS[kind].labels, ["person", "horse"], ["car"]])))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        fault = draw(st.integers(0, 4))
+        if fault == 0:
+            rule[draw(st.sampled_from(sorted(rule)))] = draw(SCALAR | JUNK)
+        elif fault == 1 and isinstance(rule.get("params"), dict):
+            name = draw(st.sampled_from(PARAM_NAMES))
+            rule["params"][name] = draw(ODD_NUMBER | JUNK)
+        elif fault == 2:
+            del rule[draw(st.sampled_from(sorted(rule)))]
+        elif fault == 3 and isinstance(rule.get("params"), dict) and rule["params"]:
+            del rule["params"][draw(st.sampled_from(sorted(rule["params"])))]
+        else:
+            rule[draw(st.text(max_size=6))] = draw(JUNK)
+    return rule
+
+
+@st.composite
+def rule_files(draw):
+    """A rules document: a list of rules, bare or under ``rules``, now and
+    then with a rule repeated as a YAML alias, a stray entry, the list
+    nested in a list, or anything at all."""
+    window_ms = draw(st.sampled_from([400, 1000]) | st.integers(1, 10 ** 30))
+    rules = [draw(rule_configs(f"r{k}", window_ms))
+             for k in range(draw(st.integers(1, 3)))]
+    if one_in(draw, 6):
+        rules.append(rules[-1])   # safe_dump writes it as an alias
+    if one_in(draw, 16):
+        rules.append(draw(JUNK))
+    if one_in(draw, 16):
+        rules = [rules]
+    if one_in(draw, 16):
+        return draw(JUNK | st.fixed_dictionaries({"rules": JUNK}))
+    return {"rules": rules} if draw(st.booleans()) else rules
+
+
+def rule_stream_frame(i):
+    """Frame ``i`` of the stream the random rule files run on: two persons
+    reach for each other, one rides a horse, and a red car stands still."""
+    reach = 4 * min(i, 12 - i)
+    left, right, rider = [10, 10, 30, 80], [60, 10, 30, 80], [200 + 5 * i, 0, 30, 80]
+    return {"frame": i, "ts_ms": 40 * i, "objects": [
+        {"track": 1, "label": "person", "conf": 0.9, "bbox": left,
+         "keypoints": arms(left, reach, 1)},
+        {"track": 2, "label": "person", "conf": 0.9, "bbox": right,
+         "keypoints": arms(right, reach, -1)},
+        {"track": 3, "label": "person", "conf": 0.9, "bbox": rider},
+        {"track": 4, "label": "horse", "conf": 0.9, "bbox": [190 + 5 * i, 50, 80, 60]},
+        {"track": 5, "label": "car", "conf": 0.9, "bbox": [100, 100, 40, 20],
+         "attrs": {"color": "red"}}]}
+
+
+RULE_STREAM = [json.dumps(HEADER)] + [json.dumps(rule_stream_frame(i)) for i in range(13)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rule_files())
+def test_run_never_exits_3_on_a_random_rule_file(doc):
+    """Exit 0 (the file was valid), 1 or 2; stderr holds at most 1 KB more
+    than the rule file itself."""
+    with tempfile.TemporaryDirectory() as tmp:
+        stream = os.path.join(tmp, "s.jsonl")
+        rules_path = os.path.join(tmp, "r.yaml")
+        with open(stream, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(RULE_STREAM) + "\n")
+        text = yaml.safe_dump(doc)
+        with open(rules_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(["--quiet", "run", "--input", stream, "--rules", rules_path,
+                       "--out", os.path.join(tmp, "o.jsonl")])
+    assert rc in (EXIT_OK, EXIT_USAGE, EXIT_INPUT), err.getvalue()[-2000:]
+    assert len(err.getvalue()) <= 1000 + len(text), err.getvalue()[:2000]

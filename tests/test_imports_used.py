@@ -9,6 +9,8 @@ linter ships with the project.
   read somewhere in the package, so a retired helper cannot linger.
 - Every parameter of every function is read in that function's body
   (``self`` and ``cls`` exempt), so an argument no caller needs is dropped.
+- Every exception class in ``errors`` is named by another module, so an
+  error nothing raises or catches is dropped.
 """
 
 import ast
@@ -135,3 +137,25 @@ def test_gate_sees_an_unread_parameter():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_every_parameter_is_read(path):
     assert unread_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def unnamed_exceptions(errors_source: str, other_sources):
+    """The classes ``errors_source`` defines that no other module names,
+    so an exception nothing raises or catches cannot linger."""
+    named = set().union(*(names_read(s) for s in other_sources))
+    return sorted(node.name for node in ast.parse(errors_source).body
+                  if isinstance(node, ast.ClassDef) and node.name not in named)
+
+
+def test_gate_sees_an_unnamed_exception():
+    assert unnamed_exceptions(
+        "class A(Exception): pass\nclass B(A): pass\nclass C(A): pass\n",
+        ["from .errors import A\n", "from . import errors\nraise errors.C()\n"]
+    ) == ["B"]
+
+
+def test_every_exception_is_named_by_another_module():
+    errors = SRC / "errors.py"
+    assert unnamed_exceptions(
+        errors.read_text(encoding="utf-8"),
+        [p.read_text(encoding="utf-8") for p in SOURCES if p != errors]) == []

@@ -4,9 +4,11 @@ import random
 
 import pytest
 
+from vekg import synth
 from vekg.metrics import (AccuracyReport, GroundTruthEvent, LatencyReport,
                           from_counts, score, temporal_iou)
-from vekg.rules import MatchNotification, RuleKind
+from vekg.pipeline import run_pipeline
+from vekg.rules import MatchNotification, RuleKind, register_rules
 from vekg.temporal import Interval
 
 
@@ -111,3 +113,17 @@ class TestLatency:
                             tag_search_ms=0.75)
         assert rep.total_ms == 4.5
         assert rep.as_dict()["total_ms"] == 4.5
+
+    def test_pair_pass_counts_as_vekg_construction(self):
+        """The run decides pair series in aggregate, and that time moves
+        from TAG construction to VEKG construction."""
+        sc = synth.get_scenario("horse_ride_positive")
+        rs = register_rules([dict(r) for r in sc.rule_configs])
+        results = list(run_pipeline(synth.generate_frames(sc), rs))
+        assert any(len(r.tag.edges) > len(r.tag.nodes) for r in results)
+        for r in results:
+            lat = r.latency
+            if len(r.tag.edges) > len(r.tag.nodes):   # pair edges stored
+                assert r.tag.pairs_ms > 0
+            assert lat.vekg_construction_ms >= r.tag.pairs_ms
+            assert lat.tag_construction_ms >= 0

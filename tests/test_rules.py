@@ -102,6 +102,38 @@ class TestRegistry:
                              "params": {"region": [[0, 0], [1, 1]]}}])
 
 
+# every frame-count param, under each kind that reads it, with the
+# params that kind requires
+REQUIRED_PARAMS = {
+    "parking_slot_status": {"slots": [[0, 0, 50, 50]], "overlap_threshold": 0.5},
+    "jaywalking": {"region": [[0, 0], [9, 0], [9, 9]]},
+}
+COUNTS = [("fall_detection", "still_frames"), ("fall_detection", "gap_frames"),
+          ("horse_ride", "min_frames"), ("horse_ride", "max_gap_frames"),
+          ("bike_ride", "min_frames"), ("bike_ride", "max_gap_frames"),
+          ("handshake", "min_phase_frames"), ("punch", "min_phase_frames"),
+          ("parking_slot_status", "min_frames"),
+          ("parking_slot_status", "max_gap_frames"),
+          ("jaywalking", "min_frames"), ("jaywalking", "max_gap_frames")]
+
+
+class TestCounts:
+    """Frame counts are whole numbers >= 0, checked at load."""
+
+    @pytest.mark.parametrize("kind, param", COUNTS,
+                             ids=[f"{k}-{p}" for k, p in COUNTS])
+    @pytest.mark.parametrize("value", [-1, -5, "-3"])
+    def test_negative_count_rejected_at_load(self, kind, param, value):
+        with pytest.raises(InvalidRuleConfig, match=f"{param}.*must be >= 0"):
+            one_rule(kind, {**REQUIRED_PARAMS.get(kind, {}), param: value})
+
+    @pytest.mark.parametrize("kind, param", COUNTS,
+                             ids=[f"{k}-{p}" for k, p in COUNTS])
+    def test_zero_count_loads(self, kind, param):
+        rule = one_rule(kind, {**REQUIRED_PARAMS.get(kind, {}), param: 0})
+        assert rule.params[param] == 0
+
+
 def fall_frames(walk_frames=60, still_frames=40, keep_moving=False):
     """Person walks with ratio 0.4, then the ratio jumps to 1.8."""
     frames = []

@@ -6,8 +6,7 @@ import pytest
 
 from conftest import frame, obj, random_window, window_of
 from vekg import geometry
-from vekg.errors import (RelationVocabularyMismatch, UnknownNode,
-                         UnknownRelation)
+from vekg.errors import UnknownNode, UnknownRelation
 from vekg.tag import (POSITION, X, aggregate, edge_series, motion_series,
                       reduction_report)
 from vekg.windowing import WindowState
@@ -64,10 +63,6 @@ class TestAggregate:
         tag = aggregate(three_car_window(), {"distance"})
         assert tag.nodes[3].present == [True, True, False]
         assert tag.nodes[1].present == [True, True, True]
-
-    def test_vocabulary_mismatch(self):
-        with pytest.raises(RelationVocabularyMismatch):
-            aggregate(three_car_window(), {"topology"})
 
     def test_last_seen_attributes(self):
         frames = [
@@ -209,13 +204,13 @@ class TestScopedNeeds:
         assert edge_series(tag, 1, 2, "distance") == [X, X, X, 30.0, 30.0]
         assert set(tag.edges) == {(1, 1), (2, 2), (1, 2)}
 
-    def test_graphs_built_for_other_pairs_rejected(self):
-        win = window_of(self.frames(), {("person", "bike"): {"distance"}})
-        with pytest.raises(RelationVocabularyMismatch):
-            aggregate(win, self.NEEDS)
-        covered = window_of(self.frames(), {"distance"})
-        assert edge_series(aggregate(covered, self.NEEDS), 1, 3, "distance") \
-            == [30.0, X, 30.0]
+    def test_graphs_built_with_no_needs_aggregate_alike(self):
+        """aggregate reads the nodes' frames, not the frame graphs' edges."""
+        for built in ({}, {("person", "bike"): {"distance"}}, {"distance"}):
+            tag = aggregate(window_of(self.frames(), built), self.NEEDS)
+            assert tag.edges == aggregate(
+                window_of(self.frames(), self.NEEDS), self.NEEDS).edges
+            assert edge_series(tag, 1, 3, "distance") == [30.0, X, 30.0]
 
 
 class TestNodeFrames:
