@@ -101,7 +101,7 @@ def cmd_run(ctx, input_path, rules_path, window_ms, out_path, truth_path):
         if input_path != "-" and _same_file(path, input_path):
             raise VekgError(f"output {path} is the input file; writing it "
                             "would destroy the stream")
-    all_notes = []
+    scored, count = [], 0   # notifications are kept only to be scored
     with closing(open_stream(input_path)) as frames, \
             open(out_path, "w", encoding="utf-8") as out_fh, \
             open(metrics_path, "w", encoding="utf-8") as met_fh:
@@ -110,18 +110,20 @@ def cmd_run(ctx, input_path, rules_path, window_ms, out_path, truth_path):
                 out_fh.write(json.dumps(note.as_dict(),
                                         separators=(",", ":")) + "\n")
             out_fh.flush()   # notifications stream out per window
-            all_notes += result.notifications
+            count += len(result.notifications)
+            if truth is not None:
+                scored += result.notifications
             met_fh.write(json.dumps(_window_record(result),
                                     separators=(",", ":")) + "\n")
         if truth is not None:
-            report = score(all_notes, truth)
+            report = score(scored, truth)
             met_fh.write(json.dumps({"accuracy": report.as_dict()},
                                     separators=(",", ":")) + "\n")
             if not ctx.obj["quiet"]:
                 click.echo(f"accuracy: P={report.precision:.3f} "
                            f"R={report.recall:.3f} F={report.f_score:.3f}")
     if not ctx.obj["quiet"]:
-        click.echo(f"{len(all_notes)} notification(s) -> {out_path}")
+        click.echo(f"{count} notification(s) -> {out_path}")
 
 
 @cli.command("gen")

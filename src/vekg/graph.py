@@ -1,21 +1,18 @@
-"""Per-frame complete directed labeled graphs, and the one pair kernel.
+"""Relation needs, the one pair kernel, and per-frame graphs.
 
-Each frame becomes a graph with one node per object and n(n-1)
-directed edges.  A rule set's needs map an ordered label pair to the
-relations its rules read, ``{(label_u, label_v): relations}``; a plain
-set of relation names means those relations on every ordered pair.
-``pair_series`` decides the needed relations of every matching ordered
-track pair over a run of frames, in one pass.  A run calls it once per
-window, on the TAG's node frames (see ``tag.aggregate``), and builds its
-frame graphs with no needs.  A frame graph built with needs carries the
-same kernel's values, over that one frame, on its matching pairs' edges.
-An edge is stored only when it carries a value, so with no need
-``edges`` is empty and the n(n-1) edges are counted, not kept.
+A rule set's needs map an ordered label pair to the relations its rules
+read, ``{(label_u, label_v): relations}``; a plain set of relation names
+means those relations on every ordered pair.  ``pair_series`` decides the
+needed relations of every matching ordered track pair over a run of
+frames, in one pass; a run calls it once per window, on the TAG's node
+frames (see ``tag.aggregate``), and builds no frame graph.  A frame graph
+(``build_frame_graph``) has one node per object and n(n-1) directed edges,
+and carries the same kernel's values, over that one frame, on its matching
+pairs' edges.  An edge is stored only when it carries a value.
 """
 
 from __future__ import annotations
 
-import time
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
@@ -54,7 +51,8 @@ def relation_needs(required) -> RelationNeeds:
 
     A mapping ``{(label_u, label_v): relations}`` keeps its label pairs; a
     plain set of relation names becomes ``{ALL_PAIRS: relations}``.  Empty
-    relation sets are dropped.  Needs made here are returned as they are.
+    relation sets are dropped, and ``ALL_PAIRS`` next to a label pair raises
+    ValueError.  Needs made here are returned as they are.
     """
     if isinstance(required, RelationNeeds):
         return required
@@ -63,6 +61,8 @@ def relation_needs(required) -> RelationNeeds:
     else:
         items = [(ALL_PAIRS, frozenset(required))]
     needs = RelationNeeds((key, rels) for key, rels in items if rels)
+    if ALL_PAIRS in needs and len(needs) > 1:
+        raise ValueError(f"needs mix ALL_PAIRS with label pairs: {needs}")
     unknown = frozenset().union(*needs.values()) - RELATIONS
     if unknown:
         raise UnknownRelation(f"unknown relation(s): {sorted(unknown)}")
@@ -147,12 +147,15 @@ def pair_series(tracks, nframes: int,
 
 @dataclass(frozen=True)
 class VekgGraph:
-    """Complete directed labeled graph of one frame."""
+    """Complete directed labeled graph of one frame, a window item like it."""
 
     timestamp: int
-    nodes: Tuple[ObjectNode, ...]
+    objects: Tuple[ObjectNode, ...]
     edges: Dict[Tuple[int, int], Dict[str, object]]
-    build_ms: float = 0.0
+
+    @property
+    def nodes(self) -> Tuple[ObjectNode, ...]:
+        return self.objects
 
 
 def build_frame_graph(frame: FrameDetections, required_relations) -> VekgGraph:
@@ -162,15 +165,13 @@ def build_frame_graph(frame: FrameDetections, required_relations) -> VekgGraph:
     ``relation_needs``).  The edges are ``pair_series`` over one frame.
     """
     needs = relation_needs(required_relations)
-    t0 = time.perf_counter()
     edges = {}
     if needs:
         tracks = {o.track_id: (o.label, (o,)) for o in frame.objects}
         edges = {pair: {rel: slots[0] for rel, slots in series.items()}
                  for pair, series in pair_series(tracks, 1, needs).items()}
-    build_ms = (time.perf_counter() - t0) * 1000.0
-    return VekgGraph(timestamp=frame.timestamp, nodes=tuple(frame.objects),
-                     edges=edges, build_ms=build_ms)
+    return VekgGraph(timestamp=frame.timestamp, objects=tuple(frame.objects),
+                     edges=edges)
 
 
 def stream_graphs(frames, required_relations) -> Iterator[VekgGraph]:

@@ -280,6 +280,8 @@ def parse_header(line: str) -> StreamHeader:
     version = raw.get("version", STREAM_VERSION)
     if type(version) is not int:
         raise SchemaViolation("version must be an integer")
+    if version != STREAM_VERSION:
+        raise SchemaViolation(f"stream version {version} is not {STREAM_VERSION}")
     return StreamHeader(resolution=(res[0], res[1]), version=version)
 
 

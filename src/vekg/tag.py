@@ -1,19 +1,20 @@
-"""Time-aggregated graph over one window of the graph stream.
+"""Time-aggregated graph over one window of frames.
 
-The window's per-frame graphs collapse into a single complete directed
-graph whose nodes are the distinct tracks seen in the window.  Each node
-keeps its object at every window frame (None where absent) and has a
-self-loop edge storing its per-frame position.  Pair series are built
-only where the rules read them, once per window, by ``graph.pair_series``
-over the nodes' frames: for each needed ordered label pair (see
-``graph.relation_needs``), every ordered pair of tracks whose node labels
-match it carries a series of length |T| per needed relation.  A slot
-holds the frame's value when both objects are present in that frame and
-carry those labels there, and a don't-care marker (X) otherwise; a pair
-never co-present gets an all-X series.  The frame graphs' own edges are
-not read.  With no need no pair edge is stored: the graph still has n^2
-edges, counted from its nodes.  Memory is O(n * T) for the nodes plus
-O(T) per needed relation of each matched pair.
+The window's frames, one VEKG each, collapse into a single complete
+directed graph whose nodes are the distinct tracks seen in the window.
+Each node keeps its object at every window frame (None where absent) and
+has a self-loop edge storing its per-frame position.  Pair series are
+built only where the rules read them, once per window, by
+``graph.pair_series`` over the nodes' frames: for each needed ordered
+label pair (see ``graph.relation_needs``), every ordered pair of tracks
+whose node labels match it carries a series of length |T| per needed
+relation.  A slot holds the frame's value when both objects are present
+in that frame and carry those labels there, and a don't-care marker (X)
+otherwise; a pair never co-present gets an all-X series.  Only each
+window item's ``timestamp`` and ``objects`` are read, so a frame and a
+``VekgGraph`` aggregate alike.  With no need no pair edge is stored: the
+graph still has n^2 edges, counted from its nodes.  Memory is O(n * T)
+for the nodes plus O(T) per needed relation of each matched pair.
 """
 
 from __future__ import annotations
@@ -39,11 +40,6 @@ class TagNode:
     # position self-loop, label, keypoints and attributes are read from here
     frames: List[Optional[ObjectNode]]
 
-    @property
-    def present(self) -> List[bool]:
-        """Whether the track is present, per window frame."""
-        return [o is not None for o in self.frames]
-
     def _last_seen(self) -> ObjectNode:
         return next(o for o in reversed(self.frames) if o is not None)
 
@@ -68,7 +64,7 @@ class VekgTag:
     nodes: Dict[int, TagNode]
     # (u, u) -> {"position" -> series}; (u, v) -> {relation -> series}
     edges: Dict[Tuple[int, int], Dict[str, list]]
-    # time spent deciding the pair series, part of the VEKG's construction
+    # the pair pass's time, the VEKGs' whole construction; 0 with no need
     pairs_ms: float = 0.0
 
     @property
@@ -85,7 +81,7 @@ class VekgTag:
 
 
 def aggregate(window: WindowState, required_relations=()) -> VekgTag:
-    """Collapse a window's graph stream into one VekgTag.
+    """Collapse a window's frames into one VekgTag.
 
     ``required_relations`` is a needs mapping or a plain relation set (see
     ``graph.relation_needs``).
@@ -97,7 +93,7 @@ def aggregate(window: WindowState, required_relations=()) -> VekgTag:
     # node union (order-independent: keyed by track id)
     nodes: Dict[int, TagNode] = {}
     for i, g in enumerate(window.graphs):
-        for obj in g.nodes:
+        for obj in g.objects:
             tid = obj.track_id
             if tid not in nodes:
                 nodes[tid] = TagNode(track_id=tid, frames=[None] * nframes)
@@ -109,11 +105,12 @@ def aggregate(window: WindowState, required_relations=()) -> VekgTag:
         (u, u): {POSITION: [o.bbox if o is not None else X
                             for o in nodes[u].frames]}
         for u in tids}
-    t0 = time.perf_counter()
+    pairs_ms = 0.0
     if needs:
+        t0 = time.perf_counter()
         edges.update(pair_series(
             {u: (nodes[u].label, nodes[u].frames) for u in tids}, nframes, needs))
-    pairs_ms = (time.perf_counter() - t0) * 1000.0
+        pairs_ms = (time.perf_counter() - t0) * 1000.0
 
     return VekgTag(start=window.start, end=window.end, timestamps=timestamps,
                    nodes=nodes, edges=edges, pairs_ms=pairs_ms)
@@ -183,9 +180,9 @@ class ReductionReport:
 
 
 def reduction_report(window: WindowState, tag: VekgTag) -> ReductionReport:
-    """Node/edge counts of the raw window stream vs the aggregated graph."""
-    vekg_nodes = sum(len(g.nodes) for g in window.graphs)
-    vekg_edges = sum(len(g.nodes) * (len(g.nodes) - 1) for g in window.graphs)
+    """Node/edge counts of the window's frame VEKGs vs the aggregated graph."""
+    vekg_nodes = sum(len(g.objects) for g in window.graphs)
+    vekg_edges = sum(len(g.objects) * (len(g.objects) - 1) for g in window.graphs)
     tag_nodes = len(tag.nodes)
     tag_edges = tag_nodes ** 2
     rin = (vekg_nodes - tag_nodes) / vekg_nodes if vekg_nodes > 0 else 0.0

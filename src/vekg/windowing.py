@@ -1,11 +1,11 @@
-"""Tumbling time windows over the graph stream.
+"""Tumbling time windows over a stream of frames (or of ``VekgGraph``s).
 
 Windows are left-closed right-open, aligned to the first observed
-timestamp, and emitted as soon as the first graph at or beyond their
+timestamp, and emitted as soon as the first item at or beyond their
 end arrives (or at end of stream).  Empty windows are emitted so that
 absence-based rules can still fire; a run of consecutive empty windows
 comes as one state spanning them all, so the work stays bounded by the
-number of graphs, not by the stream's time span.
+number of items, not by the stream's time span.
 """
 
 from __future__ import annotations
@@ -14,33 +14,32 @@ from dataclasses import dataclass
 from typing import Iterator, Tuple
 
 from .errors import GraphOutsideWindow, NonPositiveLength
-from .graph import VekgGraph
 
 
 @dataclass(frozen=True)
 class WindowState:
-    """One window's bounds and its ordered graph subsequence."""
+    """One window's bounds and its ordered items; a run's items are frames."""
 
     start: int
     end: int
-    graphs: Tuple[VekgGraph, ...]
+    graphs: Tuple
 
     def __post_init__(self):
         for g in self.graphs:
             if not self.start <= g.timestamp < self.end:
                 raise GraphOutsideWindow(
-                    f"graph at {g.timestamp} ms outside window "
+                    f"item at {g.timestamp} ms outside window "
                     f"[{self.start}, {self.end})")
 
 
-def time_window(graphs, length: int) -> Iterator[WindowState]:
-    """Partition an ordered graph stream into tumbling windows of ``length`` ms."""
+def time_window(items, length: int) -> Iterator[WindowState]:
+    """Partition an ordered item stream into tumbling windows of ``length`` ms."""
     if length <= 0:
         raise NonPositiveLength(f"window length must be positive, got {length}")
     t0 = None
     index = 0          # current window ordinal
     pending = []
-    for g in graphs:
+    for g in items:
         if t0 is None:
             t0 = g.timestamp
         k = (g.timestamp - t0) // length

@@ -81,6 +81,19 @@ class TestRun:
                 lat["vekg_construction_ms"] + lat["tag_construction_ms"]
                 + lat["tag_search_ms"])
 
+    @pytest.mark.parametrize("scored", [False, True], ids=["count", "truth"])
+    def test_prints_the_notification_count(self, fall_files, tmp_path, capsys,
+                                           scored):
+        stream, truth, rules = fall_files
+        out = tmp_path / "notes.jsonl"
+        args = ["--truth", str(truth)] if scored else []
+        assert main(["run", "--input", str(stream), "--rules", str(rules),
+                     "--out", str(out), *args]) == EXIT_OK
+        printed = capsys.readouterr().out
+        assert f"4 notification(s) -> {out}" in printed
+        assert ("accuracy: P=1.000 R=1.000 F=1.000" in printed) == scored
+        assert len(out.read_text().splitlines()) == 4
+
     def test_byte_identical_reruns(self, fall_files, tmp_path):
         stream, _, rules = fall_files
         outs = []
@@ -161,6 +174,18 @@ class TestRun:
         headerless.write_text("\n".join(stream.read_text().splitlines()[1:]))
         assert self.run_over_prefilled(
             tmp_path, headerless, rules) == (EXIT_INPUT, True)
+
+    def test_other_stream_version_exits_2_before_any_output(self, fall_files,
+                                                            tmp_path, capsys):
+        stream, _, rules = fall_files
+        lines = stream.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["version"] = 99
+        other = tmp_path / "v99.jsonl"
+        other.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        assert self.run_over_prefilled(
+            tmp_path, other, rules) == (EXIT_INPUT, True)
+        assert "version 99" in capsys.readouterr().err
 
     @pytest.mark.parametrize("window", ["0", "-5"], ids=["zero", "negative"])
     def test_non_positive_window_exits_2_before_any_output(

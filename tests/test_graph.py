@@ -4,11 +4,12 @@ import random
 
 import pytest
 
-from conftest import frame, obj
+from conftest import frame, obj, window_of
 from vekg import geometry
 from vekg.errors import UnknownRelation
 from vekg.geometry import DirectionClass, SpatialRelationClass
-from vekg.graph import build_frame_graph, stream_graphs
+from vekg.graph import ALL_PAIRS, build_frame_graph, relation_needs, stream_graphs
+from vekg.tag import aggregate
 
 RIDE = {"topology", "direction"}
 
@@ -92,6 +93,15 @@ class TestBuildFrameGraph:
         assert g.edges == {}
         assert len(g.nodes) == 3
 
+    def test_nodes_are_the_frame_objects_read_only(self):
+        f = frame(0, 7, [obj(1), obj(2, bbox=(20, 0, 5, 5))])
+        g = build_frame_graph(f, set())
+        assert (g.timestamp, g.objects) == (f.timestamp, tuple(f.objects))
+        assert g.nodes is g.objects
+        with pytest.raises(AttributeError):
+            g.nodes = ()
+        assert not hasattr(g, "build_ms")
+
 
 class TestScopedNeeds:
     """Needs keyed by ordered label pairs evaluate only those pairs."""
@@ -126,6 +136,18 @@ class TestScopedNeeds:
     def test_unknown_relation_in_needs(self):
         with pytest.raises(UnknownRelation):
             build_frame_graph(self.FRAME, {("person", "horse"): {"sorcery"}})
+
+    def test_all_pairs_mixed_with_label_pairs_rejected(self):
+        mixed = {ALL_PAIRS: {"distance"}, ("person", "horse"): {"topology"}}
+        with pytest.raises(ValueError, match="ALL_PAIRS"):
+            relation_needs(mixed)
+        with pytest.raises(ValueError, match="ALL_PAIRS"):
+            aggregate(window_of([self.FRAME]), mixed)
+
+    def test_all_pairs_next_to_an_empty_label_pair_loads(self):
+        needs = relation_needs({ALL_PAIRS: {"distance"},
+                                ("person", "horse"): set()})
+        assert needs == {ALL_PAIRS: {"distance"}}
 
 
 class TestStreamGraphs:

@@ -97,6 +97,22 @@ class TestHeader:
         with pytest.raises(MalformedRecord):
             parse_header('{"something": "else"}')
 
+    @pytest.mark.parametrize("version", [0, 2, 99, -1])
+    def test_other_version_rejected(self, version):
+        with pytest.raises(SchemaViolation, match=f"version {version}"):
+            parse_header('{"format":"vekg-detections","version":%d,'
+                         '"resolution":[640,480]}' % version)
+
+    @pytest.mark.parametrize("version", ['"1"', "1.0", "true", "null"])
+    def test_version_must_be_an_integer(self, version):
+        with pytest.raises(SchemaViolation, match="integer"):
+            parse_header('{"format":"vekg-detections","version":%s,'
+                         '"resolution":[640,480]}' % version)
+
+    def test_missing_version_loads_as_version_1(self):
+        h = parse_header('{"format":"vekg-detections","resolution":[640,480]}')
+        assert h == StreamHeader(resolution=(640, 480), version=1)
+
 
 class TestOpenStream:
     def test_three_frames(self, tmp_path):

@@ -127,3 +127,20 @@ class TestLatency:
                 assert r.tag.pairs_ms > 0
             assert lat.vekg_construction_ms >= r.tag.pairs_ms
             assert lat.tag_construction_ms >= 0
+
+    @pytest.mark.parametrize("name", ["horse_ride_positive", "street"])
+    def test_run_builds_no_frame_graph(self, monkeypatch, name):
+        """The run windows its frames directly: no frame graph is built,
+        and the VEKG's construction time is the pair pass alone."""
+        def no_frame_graph(*_args, **_kwargs):
+            raise AssertionError("the run built a frame graph")
+
+        monkeypatch.setattr("vekg.graph.build_frame_graph", no_frame_graph)
+        sc = synth.get_scenario(name)
+        rs = register_rules([dict(r) for r in sc.rule_configs])
+        results = list(run_pipeline(synth.generate_frames(sc), rs))
+        assert results
+        for r in results:
+            assert r.latency.vekg_construction_ms == r.tag.pairs_ms
+            if not rs.relation_needs():   # no pair pass, so no VEKG time
+                assert r.tag.pairs_ms == 0.0

@@ -61,8 +61,8 @@ class TestAggregate:
 
     def test_presence_bitmap(self):
         tag = aggregate(three_car_window(), {"distance"})
-        assert tag.nodes[3].present == [True, True, False]
-        assert tag.nodes[1].present == [True, True, True]
+        assert [o is not None for o in tag.nodes[3].frames] == [True, True, False]
+        assert [o is not None for o in tag.nodes[1].frames] == [True, True, True]
 
     def test_last_seen_attributes(self):
         frames = [
@@ -104,7 +104,8 @@ class TestAggregate:
             for (u, v), series in tag.edges.items():
                 for rel, vals in series.items():
                     for i, val in enumerate(vals):
-                        both = tag.nodes[u].present[i] and tag.nodes[v].present[i]
+                        both = (tag.nodes[u].frames[i] is not None
+                                and tag.nodes[v].frames[i] is not None)
                         assert (val is X) == (not both)
 
 
@@ -221,10 +222,24 @@ class TestNodeFrames:
             tag = aggregate(win, {"distance"})
             for tid, node in tag.nodes.items():
                 assert len(node.frames) == len(win.graphs)
-                assert node.present == [o is not None for o in node.frames]
                 for i, g in enumerate(win.graphs):
                     here = [o for o in g.nodes if o.track_id == tid]
                     assert node.frames[i] is (here[0] if here else None)
+
+    def test_frames_and_frame_graphs_aggregate_alike(self):
+        """A run's windows hold frames; windows of VekgGraphs built from
+        the same frames give the same TAG and reduction."""
+        needs = {("person", "horse"): {"distance", "topology"}}
+        frames = [frame(i, 33 * i, [obj(1, "person", (3 * i, 0, 10, 20)),
+                                     obj(2, "horse", (0, 15, 30, 20))]
+                        + ([obj(3, "car", (90, 0, 30, 20))] if i % 2 else []))
+                  for i in range(4)]
+        graphs = window_of(frames, needs)
+        raw = WindowState(start=graphs.start, end=graphs.end,
+                          graphs=tuple(frames))
+        a, b = aggregate(raw, needs), aggregate(graphs, needs)
+        assert (a.timestamps, a.nodes, a.edges) == (b.timestamps, b.nodes, b.edges)
+        assert reduction_report(raw, a) == reduction_report(graphs, b)
 
     def test_self_loop_built_from_frames(self):
         tag = aggregate(window_of(three_car_window_frames(), set()), set())
