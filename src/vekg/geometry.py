@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .errors import CoincidentCentroids, InvalidRegion, ZeroLengthSegment
 
 Point = Tuple[float, float]
@@ -287,7 +289,6 @@ def inside_region(boxes: Sequence[BoundingBox], reg: Region) -> List[bool]:
     """
     if not boxes:
         return []
-    import numpy as np   # loaded here, not when the package is imported
     eps = 1e-9
     with np.errstate(over="ignore", invalid="ignore"):
         px = (np.array([b.x for b in boxes], dtype=float)

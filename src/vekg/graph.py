@@ -5,7 +5,10 @@ read, ``{(label_u, label_v): relations}``; a plain set of relation names
 means those relations on every ordered pair.  ``pair_series`` decides the
 needed relations of every matching ordered track pair over a run of
 frames, in one pass; a run calls it once per window, on the TAG's node
-frames (see ``tag.aggregate``), and builds no frame graph.  A frame graph
+frames (see ``tag.aggregate``), and builds no frame graph.  The pass is a
+numpy kernel whose per-slot codes index tables of the values themselves
+(``_TOPOLOGY_VALUES``, ``_DIRECTION_VALUES``), so every slot is the same
+object the scalar ``geometry`` functions return.  A frame graph
 (``build_frame_graph``) has one node per object and n(n-1) directed edges,
 and carries the same kernel's values, over that one frame, on its matching
 pairs' edges.  An edge is stored only when it carries a value.
@@ -13,9 +16,13 @@ pairs' edges.  An edge is stored only when it carries a value.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Iterator, Optional, Tuple
+
+import numpy as np
 
 from . import geometry
 from .errors import UnknownRelation
@@ -86,6 +93,61 @@ class _DontCare:
 X = _DontCare()
 
 
+# code -> slot value tables: the last entry of each is an X slot's code, and
+# every other entry is the very object the scalar functions return
+_TOPOLOGY_VALUES = np.array([*geometry.TOPOLOGY_SETS, X], dtype=object)
+# None, then ABOVE, BELOW, LEFT, RIGHT (definition order), then X
+_DIRECTION_VALUES = np.array([None, *geometry.DirectionClass, X], dtype=object)
+_ABSENT = (np.nan,) * 4   # the coordinates of an absent slot
+_Boxes = namedtuple("_Boxes", "x y x2 y2 cx cy has_interior present")
+
+
+def _box_arrays(boxes, nframes: int) -> _Boxes:
+    """The tracks' boxes (one list of ``nframes`` boxes or None per track)
+    as arrays of shape (tracks, nframes).  Absent slots hold NaN."""
+    coords = [_ABSENT if b is None else (b.x, b.y, b.w, b.h)
+              for track in boxes for b in track]
+    xywh = np.fromiter(chain.from_iterable(coords), float, 4 * len(coords))
+    x, y, w, h = xywh.reshape(-1, 4).T.reshape(4, len(boxes), nframes)
+    x2, y2 = x + w, y + h
+    return _Boxes(x, y, x2, y2, x + w / 2.0, y + h / 2.0,
+                  (x < x2) & (y < y2), ~np.isnan(x))
+
+
+def _topology_codes(a, b, present):
+    """``geometry.topology_code`` of box a against box b at every
+    (u, v, frame) slot, X's code where ``present`` is False.  A later
+    assignment takes precedence, as an earlier return does there."""
+    ax, ay, ax2, ay2 = (c[:, None] for c in a[:4])
+    bx, by, bx2, by2 = (c[None] for c in b[:4])
+    a_in_b = (bx <= ax) & (ax2 <= bx2) & (by <= ay) & (ay2 <= by2)
+    b_in_a = (ax <= bx) & (bx2 <= ax2) & (ay <= by) & (by2 <= ay2)
+    code = np.full(present.shape, geometry.TOPO_OVERLAP)
+    code[b_in_a] = geometry.TOPO_CONTAINS
+    code[a_in_b] = geometry.TOPO_COVERED_BY
+    code[a_in_b & (bx < ax) & (ax2 < bx2) & (by < ay)
+         & (ay2 < by2)] = geometry.TOPO_INSIDE
+    code[a_in_b & b_in_a] = geometry.TOPO_EQUAL
+    code[~((ax < bx2) & (bx < ax2) & (ay < by2) & (by < ay2)
+           & a.has_interior[:, None] & b.has_interior[None])] = geometry.TOPO_TOUCH
+    code[(ax > bx2) | (bx > ax2) | (ay > by2) | (by > ay2)] = geometry.TOPO_DISJOINT
+    code[~present] = len(_TOPOLOGY_VALUES) - 1
+    return code
+
+
+def _direction_codes(a, b, present):
+    """``geometry.direction_of`` of a's centroid against b's at every
+    (u, v, frame) slot, as an index into ``_DIRECTION_VALUES``."""
+    acx, acy = a.cx[:, None], a.cy[:, None]
+    bcx, bcy = b.cx[None], b.cy[None]
+    dy = bcy - acy
+    vertical = np.abs(dy) >= np.abs(bcx - acx)
+    code = np.where(vertical, np.where(acy < bcy, 1, 2), np.where(acx < bcx, 3, 4))
+    code[vertical & (dy == 0)] = 0
+    code[~present] = len(_DIRECTION_VALUES) - 1
+    return code
+
+
 def pair_series(tracks, nframes: int,
                 needs: RelationNeeds) -> Dict[Tuple[int, int], Dict[str, list]]:
     """Each needed ordered track pair's ``{relation: series}``, in one pass.
@@ -95,53 +157,52 @@ def pair_series(tracks, nframes: int,
     pairs by its node label (every track is ANY under ALL_PAIRS).  A slot
     holds the frame's value where both objects are present and, under
     label-pair needs, carry their node's label; every other slot is X.
-    Each object's edge coordinates and centroid are read once.
+
+    Topology and direction codes are decided over a label pair's
+    (|U|, |V|, frames) slots at once, with the comparisons of
+    ``geometry.topology_code`` and ``direction_of`` on float64 coordinates
+    (overflow and NaN compare as IEEE says); the ``tolist()`` of their
+    value tables are the series.  Metric relations are evaluated per
+    present slot by ``RELATION_FUNCS``.
     """
-    topology_code = geometry.topology_code
-    topology_sets = geometry.TOPOLOGY_SETS
-    direction_of = geometry.direction_of
     scoped = ALL_PAIRS not in needs
-    # per label: (track, per frame (x, y, x2, y2, cx, cy, box) or None)
+    # per label: (track, its box at each frame, None where it does not count)
     rows: Dict[Optional[str], list] = {label: [] for key in needs for label in key}
     for track, (label, objects) in tracks.items():
         group = rows.get(label if scoped else ANY)
-        if group is None:
-            continue
-        coords = []
-        for o in objects:
-            if o is None or (scoped and o.label != label):
-                coords.append(None)
-                continue
-            b = o.bbox
-            x, y, w, h = b.x, b.y, b.w, b.h
-            coords.append((x, y, x + w, y + h, x + w / 2.0, y + h / 2.0, b))
-        group.append((track, coords))
+        if group is not None:
+            group.append((track, [None if o is None or (scoped and o.label != label)
+                                  else o.bbox for o in objects]))
     out: Dict[Tuple[int, int], Dict[str, list]] = {}
-    for (label_u, label_v), required in needs.items():
-        metric = [(rel, RELATION_FUNCS[rel]) for rel in required
-                  if rel in RELATION_FUNCS]
-        for u, cu in rows[label_u]:
-            for v, cv in rows[label_v]:
-                if u == v:
-                    continue
-                series = {rel: [X] * nframes for rel in required}
-                topo = series.get("topology")
-                direc = series.get("direction")
-                metric_slots = [(series[rel], fn) for rel, fn in metric]
-                for i, a in enumerate(cu):
-                    b = cv[i]
-                    if a is None or b is None:
+    with np.errstate(over="ignore", invalid="ignore"):
+        arrays = {label: _box_arrays([boxes for _, boxes in group], nframes)
+                  for label, group in rows.items() if group}
+        for (label_u, label_v), required in needs.items():
+            us, vs = rows[label_u], rows[label_v]
+            if not us or not vs:
+                continue
+            a, b = arrays[label_u], arrays[label_v]
+            present = a.present[:, None] & b.present[None]
+            columns = []   # (relation, its series per (u, v) as nested lists)
+            if "topology" in required:
+                columns.append(("topology", _TOPOLOGY_VALUES[
+                    _topology_codes(a, b, present)].tolist()))
+            if "direction" in required:
+                columns.append(("direction", _DIRECTION_VALUES[
+                    _direction_codes(a, b, present)].tolist()))
+            metric = [(rel, RELATION_FUNCS[rel]) for rel in required
+                      if rel in RELATION_FUNCS]
+            for i, (u, boxes_u) in enumerate(us):
+                rows_u = [(rel, col[i]) for rel, col in columns]
+                for j, (v, boxes_v) in enumerate(vs):
+                    if u == v:
                         continue
-                    ax, ay, ax2, ay2, acx, acy, abox = a
-                    bx, by, bx2, by2, bcx, bcy, bbox = b
-                    if topo is not None:
-                        topo[i] = topology_sets[topology_code(
-                            ax, ay, ax2, ay2, bx, by, bx2, by2)]
-                    if direc is not None:
-                        direc[i] = direction_of(acx, acy, bcx, bcy)
-                    for slots, fn in metric_slots:
-                        slots[i] = fn(abox, bbox)
-                out[(u, v)] = series
+                    out[(u, v)] = series = {}
+                    for rel, row in rows_u:
+                        series[rel] = row[j]
+                    for rel, fn in metric:
+                        series[rel] = [X if p is None or q is None else fn(p, q)
+                                       for p, q in zip(boxes_u, boxes_v)]
     return out
 
 

@@ -21,7 +21,7 @@ from . import geometry
 from .errors import InvalidRegion, InvalidRuleConfig, NonPositiveLength
 from .geometry import BoundingBox, Region, SpatialRelationClass, DirectionClass
 from .graph import RelationNeeds, relation_needs
-from .tag import POSITION, VekgTag, X, edge_series, motion_series
+from .tag import POSITION, VekgTag, X, motion_series
 from .temporal import Interval, Trend, pelt_changepoints, trend
 
 log = logging.getLogger(__name__)
@@ -383,34 +383,43 @@ def _velocity(positions: Sequence, i: int, max_back: int = 6):
 # hash, so testing a slot against these hashes no Enum member
 _OVERLAP_TOPOLOGIES = frozenset(
     s for s in geometry.TOPOLOGY_SETS if SpatialRelationClass.OVERLAP in s)
+_ABOVE = DirectionClass.ABOVE   # bound once: Enum attribute lookups are slow
 
 
 def eval_ride(tag: VekgTag, rule: EventRule) -> List[MatchNotification]:
     """Rider overlapping and above a mount, both moving the same way; the
-    rule's two labels name the rider and the mount."""
+    rule's two labels name the rider and the mount.  A track's velocity at
+    a frame is computed once, where some pair of it overlaps and is above.
+    """
     p = rule.params
     min_speed = p["min_speed_px"]
     rider_label, mount_label = rule.object_labels
     persons = _tracks_with_label(tag, (rider_label,))
     mounts = _tracks_with_label(tag, (mount_label,))
+    velocities = {track: {} for track in persons + mounts}   # {frame: velocity}
     out = []
     for person in persons:
         ppos = tag.edges[(person, person)][POSITION]
+        pvel = velocities[person]
         for mount in mounts:
+            edge = tag.edges[(person, mount)]
+            topo, direc = edge["topology"], edge["direction"]
+            if _ABOVE not in direc or _OVERLAP_TOPOLOGIES.isdisjoint(topo):
+                continue   # no frame passes, so the flags hold no True
+            above = [t in _OVERLAP_TOPOLOGIES and d is _ABOVE
+                     for t, d in zip(topo, direc)]
             mpos = tag.edges[(mount, mount)][POSITION]
-            topo = edge_series(tag, person, mount, "topology")
-            direc = edge_series(tag, person, mount, "direction")
+            mvel = velocities[mount]
             flags: List[Optional[bool]] = []
-            for i in range(tag.frame_count):
-                if topo[i] is X:
-                    flags.append(None)
+            for i, ok in enumerate(above):
+                if not ok:
+                    flags.append(None if topo[i] is X else False)
                     continue
-                if topo[i] not in _OVERLAP_TOPOLOGIES \
-                        or direc[i] is not DirectionClass.ABOVE:
-                    flags.append(False)
-                    continue
-                vp = _velocity(ppos, i)
-                vm = _velocity(mpos, i)
+                if i not in pvel:
+                    pvel[i] = _velocity(ppos, i)
+                if i not in mvel:
+                    mvel[i] = _velocity(mpos, i)
+                vp, vm = pvel[i], mvel[i]
                 if vp is None or vm is None:
                     flags.append(None)
                     continue

@@ -10,7 +10,11 @@ label pair (see ``graph.relation_needs``), every ordered pair of tracks
 whose node labels match it carries a series of length |T| per needed
 relation.  A slot holds the frame's value when both objects are present
 in that frame and carry those labels there, and a don't-care marker (X)
-otherwise; a pair never co-present gets an all-X series.  Only each
+otherwise; a pair never co-present gets an all-X series.  Topology and
+direction series are the ``tolist()`` rows of a numpy table lookup from
+per-slot codes, so each slot is one of the shared
+``geometry.TOPOLOGY_SETS``, a ``DirectionClass`` member or None, or X,
+the very objects the scalar functions return.  Only each
 window item's ``timestamp`` and ``objects`` are read, so a frame and a
 ``VekgGraph`` aggregate alike.  With no need no pair edge is stored: the
 graph still has n^2 edges, counted from its nodes.  Memory is O(n * T)

@@ -1,6 +1,6 @@
 """Fuzzing the whole CLI: ``vekg run`` on random streams and rules.
 
-Three slices.  Random streams meet random ``high_volume_traffic`` and
+Four slices.  Random streams meet random ``high_volume_traffic`` and
 ``jaywalking`` rules: regions are simple shapes placed at scales and
 offsets up to +-1e300, or random vertex lists (mostly rejected), and
 boxes sit on the region's grid or anywhere up to 1e308, with integers
@@ -14,6 +14,10 @@ zero frame counts, slots up to 1e300).  And random rule files meet a
 fixed stream: wrong types, nested values, unknown keys, shared (aliased)
 rules, and negative, huge and non-finite numbers, in every place a rule
 file holds a value; there the run exits 0, 1 or 2 with a short stderr.
+And a valid stream is mutated as a broken file or pipe would: bad JSON,
+invalid UTF-8 bytes, frames reordered or repeated, timestamp gaps up to
+2**64, integers past the 4,300-digit conversion limit, and blank lines
+before the header; ``vekg run`` and ``vekg validate`` read it alike.
 
 Whatever the input, the run exits 0 or 2, never 3 ("internal error"):
 no numpy warning may escape a kernel, since pytest turns warnings into
@@ -26,6 +30,7 @@ import json
 import os
 import tempfile
 
+import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -386,3 +391,149 @@ def test_run_never_exits_3_on_a_random_rule_file(doc):
                        "--out", os.path.join(tmp, "o.jsonl")])
     assert rc in (EXIT_OK, EXIT_USAGE, EXIT_INPUT), err.getvalue()[-2000:]
     assert len(err.getvalue()) <= 1000 + len(text), err.getvalue()[:2000]
+
+
+# --- mutated streams ---
+
+MUTATION_RULES = [
+    {"id": "ride", "kind": "horse_ride", "window_ms": 200,
+     "params": {"min_frames": 2, "min_speed_px": 1}},
+    {"id": "fall", "kind": "fall_detection", "window_ms": 200},
+    {"id": "cars", "kind": "high_volume_traffic", "window_ms": 200,
+     "params": {"region": [[0, 0], [400, 0], [400, 400], [0, 400]],
+                "count_threshold": 1}},
+]
+GAPS = st.sampled_from([2 ** 31, 2 ** 53, 2 ** 53 + 1, 2 ** 62, 2 ** 63 - 1, 2 ** 63,
+                        2 ** 64]) | st.integers(0, 2 ** 63)
+HUGE_INT = "1" + "0" * 4300   # one digit past the limit of int(str)
+BAD_JSON = [b"{", b"[]", b"null", b'{"frame": ', b"}{", b'{"frame": 1, "ts_ms": 1}x']
+BAD_UTF8 = [b"\xff", b"\xc3\x28", b"\xed\xa0\x80", b"\xf4\x90\x80\x80", b"\x80"]
+BLANK = [b"", b"   ", b"\t\r"]
+
+
+def frame_record(line: bytes):
+    """The frame record on ``line``, or None if an earlier mutation broke
+    it (or it is the header or blank)."""
+    try:
+        record = json.loads(line)
+    except ValueError:   # bad JSON, and bad UTF-8 (UnicodeDecodeError)
+        return None
+    if isinstance(record, dict) and type(record.get("ts_ms")) is int:
+        return record
+    return None
+
+
+@st.composite
+def mutations(draw, lines):
+    """One mutation of the stream ``lines`` (bytes, header first)."""
+    lines = list(lines)
+    kind = draw(st.sampled_from(["json", "utf8", "reorder", "repeat", "gap",
+                                 "bigint", "blank"]))
+    k = draw(st.integers(0, len(lines) - 1))
+    if kind == "json":
+        line = lines[k]
+        cut = draw(st.integers(0, len(line)))
+        lines[k] = draw(st.sampled_from(BAD_JSON + [line[:cut]]))
+    elif kind == "utf8":
+        at = draw(st.integers(0, len(lines[k])))
+        lines[k] = lines[k][:at] + draw(st.sampled_from(BAD_UTF8)) + lines[k][at:]
+    elif kind == "reorder":
+        j = draw(st.integers(0, len(lines) - 1))
+        lines[k], lines[j] = lines[j], lines[k]
+    elif kind == "repeat":
+        lines.insert(draw(st.integers(0, len(lines))), lines[k])
+    elif kind == "gap":
+        gap = draw(GAPS)
+        for j in range(k, len(lines)):
+            record = frame_record(lines[j])
+            if record is not None:
+                record["ts_ms"] += gap
+                lines[j] = json.dumps(record).encode()
+    elif kind == "bigint":
+        record = frame_record(lines[k])
+        if record is not None:
+            place = draw(st.sampled_from(["ts_ms", "frame", "track", "bbox", "conf"]))
+            if place in ("ts_ms", "frame"):
+                record[place] = "HUGE"
+            elif record["objects"]:
+                o = record["objects"][0]
+                if place == "bbox":
+                    o["bbox"][draw(st.integers(0, 3))] = "HUGE"
+                else:
+                    o[place] = "HUGE"
+            lines[k] = json.dumps(record).replace('"HUGE"', HUGE_INT).encode()
+    else:
+        lines[:0] = draw(st.lists(st.sampled_from(BLANK), min_size=1, max_size=3))
+    return lines
+
+
+@st.composite
+def mutated_streams(draw):
+    lines = [line.encode() for line in RULE_STREAM]
+    for _ in range(draw(st.integers(1, 3))):
+        lines = draw(mutations(lines))
+    return b"\n".join(lines) + b"\n"
+
+
+def run_and_validate(data: bytes):
+    """Exit codes of ``vekg run`` and ``vekg validate`` on the stream
+    ``data``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        stream = os.path.join(tmp, "s.jsonl")
+        rules_path = os.path.join(tmp, "r.yaml")
+        with open(stream, "wb") as fh:
+            fh.write(data)
+        with open(rules_path, "w", encoding="utf-8") as fh:
+            yaml.safe_dump({"rules": MUTATION_RULES}, fh)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            ran = main(["--quiet", "run", "--input", stream, "--rules", rules_path,
+                        "--out", os.path.join(tmp, "o.jsonl")])
+            validated = main(["validate", stream])
+    return ran, validated
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_streams())
+def test_run_and_validate_exit_0_or_2_on_a_mutated_stream(data):
+    """Both exit 0 or 2, never 3, and they agree on whether the stream
+    is valid."""
+    ran, validated = run_and_validate(data)
+    assert ran in (EXIT_OK, EXIT_INPUT)
+    assert ran == validated
+
+
+def shifted(lines, k, gap):
+    """``lines`` with line ``k`` and those after it ``gap`` ms later."""
+    out = lines[:k]
+    for line in lines[k:]:
+        record = json.loads(line)
+        out.append(json.dumps(dict(record, ts_ms=record["ts_ms"] + gap)))
+    return out
+
+
+NAMED_MUTATIONS = {
+    "blank lines before the header": (["", "  ", "\t"] + RULE_STREAM, EXIT_OK),
+    "a 2**64 ms gap": (shifted(RULE_STREAM, 5, 2 ** 64), EXIT_OK),
+    "a 2**63 ms gap then the same again": (
+        shifted(shifted(RULE_STREAM, 4, 2 ** 63), 9, 2 ** 63), EXIT_OK),
+    "a repeated frame": (RULE_STREAM[:4] + RULE_STREAM[3:], EXIT_INPUT),
+    "two frames swapped": (RULE_STREAM[:3] + RULE_STREAM[4:2:-1] + RULE_STREAM[5:],
+                           EXIT_INPUT),
+    "a truncated last line": (RULE_STREAM[:-1] + [RULE_STREAM[-1][:40]], EXIT_INPUT),
+    "a 4,301-digit ts_ms": (RULE_STREAM[:2] + [RULE_STREAM[2].replace(
+        '"ts_ms": 40', '"ts_ms": ' + HUGE_INT)] + RULE_STREAM[3:], EXIT_INPUT),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_MUTATIONS))
+def test_named_stream_mutations(name):
+    lines, expected = NAMED_MUTATIONS[name]
+    assert run_and_validate("\n".join(lines).encode() + b"\n") == (expected, expected)
+
+
+def test_invalid_utf8_exits_2():
+    data = "\n".join(RULE_STREAM).encode()
+    for at in (5, len(RULE_STREAM[0]) + 20, len(data) - 3):
+        mutated = data[:at] + b"\xff" + data[at:]
+        assert run_and_validate(mutated) == (EXIT_INPUT, EXIT_INPUT)
