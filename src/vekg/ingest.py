@@ -122,7 +122,10 @@ def parse_frame(record: str,
     exact type checked where it is read, together with the checks the
     records' constructors make (finite values, ``w, h > 0``, confidence
     in [0, 1], one object per track), so the records are built without
-    running those constructors again.
+    running those constructors again.  A number that is already a float
+    and a label that is already a string are stored as they are, and the
+    optional keys are looked up only in an object that has a key beyond
+    the four required ones.
     """
     raw = _loads(record, "not valid JSON")
     if type(raw) is not dict:
@@ -153,42 +156,52 @@ def parse_frame(record: str,
                 raise SchemaViolation(f"missing required field {exc}") from None
             if type(track) is not int:
                 raise SchemaViolation(f"track must be an integer, got {track!r}")
-            if type(conf) not in _NUMBER:
-                raise SchemaViolation(f"conf must be a number, got {conf!r}")
-            conf = float(conf)
+            # a float value is taken as it is; an int converts, a bool is refused
+            if type(conf) is not float:
+                if type(conf) is not int:
+                    raise SchemaViolation(f"conf must be a number, got {conf!r}")
+                conf = float(conf)
             if not 0.0 <= conf <= 1.0:
                 raise SchemaViolation(f"confidence {conf} outside [0, 1] for track {track}")
             if type(bbox) is not list or len(bbox) != 4:
                 raise SchemaViolation("bbox must be a [x, y, w, h] list")
             x, y, w, h = bbox
-            if (type(x) not in _NUMBER or type(y) not in _NUMBER
-                    or type(w) not in _NUMBER or type(h) not in _NUMBER):
-                raise SchemaViolation(f"bbox must be four numbers, got {bbox!r}")
-            x = float(x)
-            y = float(y)
-            w = float(w)
-            h = float(h)
+            if type(x) is not float:
+                if type(x) is not int:
+                    raise SchemaViolation(f"bbox must be four numbers, got {bbox!r}")
+                x = float(x)
+            if type(y) is not float:
+                if type(y) is not int:
+                    raise SchemaViolation(f"bbox must be four numbers, got {bbox!r}")
+                y = float(y)
+            if type(w) is not float:
+                if type(w) is not int:
+                    raise SchemaViolation(f"bbox must be four numbers, got {bbox!r}")
+                w = float(w)
+            if type(h) is not float:
+                if type(h) is not int:
+                    raise SchemaViolation(f"bbox must be four numbers, got {bbox!r}")
+                h = float(h)
             if not (-_INF < x < _INF and -_INF < y < _INF
                     and 0.0 < w < _INF and 0.0 < h < _INF):
                 raise SchemaViolation(
                     f"bbox must be finite with positive width and height, got {bbox!r}")
-            keypoints = o.get("keypoints")
-            if keypoints:
-                keypoints = _parse_keypoints(keypoints)
-            else:
-                keypoints = None
-            # checked, then ignored: no rule reads appearance features
-            features = o.get("features")
-            if features and not (type(features) is list
-                                 and all(type(v) in _NUMBER for v in features)):
-                raise SchemaViolation("features must be a list of numbers")
-            if "attrs" in o:
-                attrs = o["attrs"]
-                if type(attrs) is not dict:
-                    raise SchemaViolation("attrs must be an object")
-                attrs = {k: str(v) for k, v in attrs.items()}
-            else:
-                attrs = {}
+            keypoints = None
+            attrs = {}
+            if len(o) > 4:   # some key beyond track, label, conf and bbox
+                raw_keypoints = o.get("keypoints")
+                if raw_keypoints:
+                    keypoints = _parse_keypoints(raw_keypoints)
+                # checked, then ignored: no rule reads appearance features
+                features = o.get("features")
+                if features and not (type(features) is list
+                                     and all(type(v) in _NUMBER for v in features)):
+                    raise SchemaViolation("features must be a list of numbers")
+                if "attrs" in o:
+                    attrs = o["attrs"]
+                    if type(attrs) is not dict:
+                        raise SchemaViolation("attrs must be an object")
+                    attrs = {k: str(v) for k, v in attrs.items()}
             tracks.add(track)
             box = _new(BoundingBox)
             box.x = x
@@ -197,7 +210,7 @@ def parse_frame(record: str,
             box.h = h
             node = _new(ObjectNode)
             node.track_id = track
-            node.label = str(label)
+            node.label = label if type(label) is str else str(label)
             node.confidence = conf
             node.bbox = box
             node.attributes = attrs

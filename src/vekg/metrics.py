@@ -44,6 +44,8 @@ def load_truth(path) -> List[GroundTruthEvent]:
                 events.append(GroundTruthEvent(kind=kind,
                                                interval=Interval(start, end),
                                                participants=tuple(participants)))
+    except UnicodeDecodeError as exc:   # its repr holds the whole undecoded chunk
+        raise InvalidTruth(f"truth file {path} is not UTF-8 text: {exc}") from exc
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise InvalidTruth(f"bad truth file {path}, line {line_no}: {exc!r}") from exc
     return events

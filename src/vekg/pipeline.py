@@ -1,8 +1,9 @@
 """Pipeline wiring: ingest -> window -> aggregate -> match.
 
 One synchronous chain of generator stages; each window's result is
-yielded as soon as its closing frame has been read.  Frames are windowed
-as they are; ``aggregate``'s pair pass builds each window's VEKG edges.
+yielded as soon as its closing frame has been read, and the window is let
+go before the next frame is read.  Frames are windowed as they are;
+``aggregate``'s pair pass builds each window's VEKG edges.
 """
 
 from __future__ import annotations
@@ -51,3 +52,6 @@ def run_pipeline(frames, ruleset: RuleSet,
                 tag_search_ms=(t2 - t1) * 1000.0),
             reduction=reduction_report(window, tag))
         index += (window.end - window.start) // length
+        # let go of the window before reading on: freeing its records
+        # would otherwise fall inside the next window's close
+        del window, tag, notifications

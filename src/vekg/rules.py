@@ -297,8 +297,8 @@ def _runs_with_gap(flags: Sequence, max_gap: int, min_len: int):
 
 
 def _tracks_with_label(tag: VekgTag, labels: Sequence[str]) -> List[int]:
-    labelset = set(labels)
-    return sorted(t for t, n in tag.nodes.items() if n.label in labelset)
+    by_label = tag.tracks_by_label
+    return sorted(t for label in set(labels) for t in by_label.get(label, ()))
 
 
 def _region_flags(tag: VekgTag, tracks: Sequence[int],
@@ -389,18 +389,19 @@ _ABOVE = DirectionClass.ABOVE   # bound once: Enum attribute lookups are slow
 def eval_ride(tag: VekgTag, rule: EventRule) -> List[MatchNotification]:
     """Rider overlapping and above a mount, both moving the same way; the
     rule's two labels name the rider and the mount.  A track's velocity at
-    a frame is computed once, where some pair of it overlaps and is above.
+    a frame is computed once per window, shared by the ride rules, and
+    only where some pair of it overlaps and is above.
     """
     p = rule.params
     min_speed = p["min_speed_px"]
     rider_label, mount_label = rule.object_labels
     persons = _tracks_with_label(tag, (rider_label,))
     mounts = _tracks_with_label(tag, (mount_label,))
-    velocities = {track: {} for track in persons + mounts}   # {frame: velocity}
+    velocities = tag.facts.setdefault("velocity", {})   # {track: {frame: velocity}}
     out = []
     for person in persons:
         ppos = tag.edges[(person, person)][POSITION]
-        pvel = velocities[person]
+        pvel = velocities.setdefault(person, {})
         for mount in mounts:
             edge = tag.edges[(person, mount)]
             topo, direc = edge["topology"], edge["direction"]
@@ -409,7 +410,7 @@ def eval_ride(tag: VekgTag, rule: EventRule) -> List[MatchNotification]:
             above = [t in _OVERLAP_TOPOLOGIES and d is _ABOVE
                      for t, d in zip(topo, direc)]
             mpos = tag.edges[(mount, mount)][POSITION]
-            mvel = velocities[mount]
+            mvel = velocities.setdefault(mount, {})
             flags: List[Optional[bool]] = []
             for i, ok in enumerate(above):
                 if not ok:
@@ -448,13 +449,17 @@ def _keypoint_series(tag: VekgTag, track: int, name: str) -> list:
 
 def _arm_series(tag: VekgTag, tracks: Sequence[int]) -> Dict[int, Dict[str, tuple]]:
     """Per track, ``{side: (wrist series, arm-angle series)}`` for each arm
-    side whose shoulder, wrist and hip appear together in some frame.
+    side whose shoulder, wrist and hip appear together in some frame.  A
+    track's series are built once per window and shared by handshake and
+    punch.
 
     The angle is between the arm (shoulder->wrist) and the body line
     (shoulder->hip): 0 with the arm hanging down, ~90 when horizontal.
     """
-    arms: Dict[int, Dict[str, tuple]] = {}
+    arms: Dict[int, Dict[str, tuple]] = tag.facts.setdefault("arms", {})
     for track in tracks:
+        if track in arms:
+            continue
         kps = [obj.keypoints if obj is not None else None
                for obj in tag.nodes[track].frames]
         arms[track] = sides = {}

@@ -24,7 +24,7 @@ for the nodes plus O(T) per needed relation of each matched pair.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
@@ -44,18 +44,20 @@ class TagNode:
     # position self-loop, label, keypoints and attributes are read from here
     frames: List[Optional[ObjectNode]]
 
+    @cached_property
     def _last_seen(self) -> ObjectNode:
+        """The object at the track's last present frame, found once."""
         return next(o for o in reversed(self.frames) if o is not None)
 
     @property
     def label(self) -> str:
         """The track's label at its last present frame."""
-        return self._last_seen().label
+        return self._last_seen.label
 
     @property
     def attributes(self) -> Dict[str, str]:
         """The track's attributes at its last present frame."""
-        return self._last_seen().attributes
+        return self._last_seen.attributes
 
 
 @dataclass
@@ -70,10 +72,21 @@ class VekgTag:
     edges: Dict[Tuple[int, int], Dict[str, list]]
     # the pair pass's time, the VEKGs' whole construction; 0 with no need
     pairs_ms: float = 0.0
+    # per-track facts that rules compute on first use and share within the
+    # window, such as each track's velocity at a frame: {name: {track: fact}}
+    facts: Dict[str, dict] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def frame_count(self) -> int:
         return len(self.timestamps)
+
+    @cached_property
+    def tracks_by_label(self) -> Dict[str, List[int]]:
+        """The window's track ids by node label, each list in id order."""
+        by_label: Dict[str, List[int]] = {}
+        for track in sorted(self.nodes):
+            by_label.setdefault(self.nodes[track].label, []).append(track)
+        return by_label
 
     @cached_property
     def frame_period(self) -> int:

@@ -3,6 +3,7 @@
 import json
 import os
 import statistics
+import weakref
 
 import pytest
 import yaml
@@ -80,6 +81,31 @@ class TestRun:
             assert lat["total_ms"] == pytest.approx(
                 lat["vekg_construction_ms"] + lat["tag_construction_ms"]
                 + lat["tag_search_ms"])
+
+    @pytest.mark.parametrize("scored", [False, True], ids=["count", "truth"])
+    def test_each_window_is_let_go_before_reading_on(self, fall_files, tmp_path,
+                                                     monkeypatch, scored):
+        """Once a window's lines are written, nothing in the run holds its
+        tag when the next frame is read."""
+        stream, truth, rules = fall_files
+        refs, alive = [], []
+        run_pipeline = cli.run_pipeline
+
+        def pipeline(frames, *args, **kwargs):
+            def reading():
+                for frame in frames:
+                    alive.append(sum(ref() is not None for ref in refs))
+                    yield frame
+            for result in run_pipeline(reading(), *args, **kwargs):
+                refs.append(weakref.ref(result.tag))
+                yield result
+                del result
+
+        monkeypatch.setattr(cli, "run_pipeline", pipeline)
+        args = ["--truth", str(truth)] if scored else []
+        assert main(["--quiet", "run", "--input", str(stream), "--rules", str(rules),
+                     "--out", str(tmp_path / "o.jsonl"), *args]) == EXIT_OK
+        assert len(refs) >= 3 and max(alive) == 0
 
     @pytest.mark.parametrize("scored", [False, True], ids=["count", "truth"])
     def test_prints_the_notification_count(self, fall_files, tmp_path, capsys,

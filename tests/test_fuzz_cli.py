@@ -1,6 +1,6 @@
 """Fuzzing the whole CLI: ``vekg run`` on random streams and rules.
 
-Four slices.  Random streams meet random ``high_volume_traffic`` and
+Five slices.  Random streams meet random ``high_volume_traffic`` and
 ``jaywalking`` rules: regions are simple shapes placed at scales and
 offsets up to +-1e300, or random vertex lists (mostly rejected), and
 boxes sit on the region's grid or anywhere up to 1e308, with integers
@@ -17,7 +17,12 @@ file holds a value; there the run exits 0, 1 or 2 with a short stderr.
 And a valid stream is mutated as a broken file or pipe would: bad JSON,
 invalid UTF-8 bytes, frames reordered or repeated, timestamp gaps up to
 2**64, integers past the 4,300-digit conversion limit, and blank lines
-before the header; ``vekg run`` and ``vekg validate`` read it alike.
+before the header; ``vekg run`` and ``vekg validate`` read it alike.  And
+random ``--truth`` files meet a fixed stream whose rules fire: events
+with odd kinds, huge or equal endpoints and wrong types, missing or
+extra keys, any JSON at all, and lines of bad JSON, bad UTF-8, a
+byte-order mark or deep nesting; a file that loads is scored in full,
+and one that does not exits 2 before any output exists.
 
 Whatever the input, the run exits 0 or 2, never 3 ("internal error"):
 no numpy warning may escape a kernel, since pytest turns warnings into
@@ -537,3 +542,131 @@ def test_invalid_utf8_exits_2():
     for at in (5, len(RULE_STREAM[0]) + 20, len(data) - 3):
         mutated = data[:at] + b"\xff" + data[at:]
         assert run_and_validate(mutated) == (EXIT_INPUT, EXIT_INPUT)
+
+
+# --- random truth files ---
+
+TRUTH_RULES = [
+    {"id": "ride", "kind": "horse_ride", "window_ms": 1000,
+     "params": {"min_frames": 2, "min_speed_px": 1}},
+    {"id": "red", "kind": "attribute_query", "window_ms": 1000,
+     "params": {"attribute": "color", "value": "red"}},
+    {"id": "shake", "kind": "handshake", "window_ms": 1000,
+     "params": {"min_phase_frames": 2}},
+]   # on RULE_STREAM: one ride, one red car and two handshake sides fire
+TRUTH_KINDS = st.sampled_from(["horse_ride", "attribute_query", "handshake",
+                               "punch", "", "HANDSHAKE"]) | st.text(max_size=6)
+MS = (st.integers(-2, 600) | st.sampled_from([2 ** 53 + 1, 2 ** 63, -2 ** 63, 10 ** 400,
+                                              -10 ** 400]) | st.integers())
+ODD_MS = st.sampled_from([0.5, 40.0, True, None, "40", [40], float("nan"),
+                          float("inf")])
+
+
+@st.composite
+def truth_events(draw):
+    """One ground-truth record: a well-formed event, now and then with a
+    field of another type, a field dropped or a key added, or any JSON."""
+    if one_in(draw, 10):
+        return draw(JUNK)
+    start = draw(MS)
+    event = {"kind": draw(TRUTH_KINDS), "start_ms": start,
+             "end_ms": draw(st.sampled_from([start + 1, start + 480, start]) | MS),
+             "participants": draw(st.lists(st.integers(0, 6) | st.just(2 ** 70),
+                                           max_size=3))}
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        fault = draw(st.integers(0, 2))
+        key = draw(st.sampled_from(sorted(event)))
+        if fault == 0:
+            event[key] = draw(ODD_MS | SCALAR | JUNK)
+        elif fault == 1:
+            del event[key]
+        else:
+            event[draw(st.text(max_size=6))] = draw(JUNK)
+    return event
+
+
+HUGE_START = b'{"kind": "punch", "start_ms": 1' + b"0" * 4400 + b"}"   # past int()'s limit
+ODD_LINES = [b"", b"  \t", b"{", b"null", b"[]", b"\xff\xfe", b"\xef\xbb\xbf{}",
+             b"[" * 50_000, HUGE_START, b'{"kind": "punch", "start_ms": NaN, "end_ms": Infinity}']
+
+
+@st.composite
+def truth_files(draw):
+    """(file bytes, events a valid file holds): JSON lines of random
+    events, and now and then a line no JSON reader or event check takes."""
+    events = draw(st.lists(truth_events(), max_size=6))
+    lines = [json.dumps(e).encode() for e in events]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(ODD_LINES)))
+    return b"\n".join(lines) + draw(st.sampled_from([b"\n", b"", b"\r\n"]))
+
+
+def run_with_truth(data: bytes):
+    """``vekg run --truth`` on RULE_STREAM under TRUTH_RULES: exit code,
+    the accuracy record (None unless it exited 0), and stderr."""
+    with tempfile.TemporaryDirectory() as tmp:
+        stream = os.path.join(tmp, "s.jsonl")
+        rules_path = os.path.join(tmp, "r.yaml")
+        truth = os.path.join(tmp, "t.jsonl")
+        out = os.path.join(tmp, "o.jsonl")
+        with open(stream, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(RULE_STREAM) + "\n")
+        with open(rules_path, "w", encoding="utf-8") as fh:
+            yaml.safe_dump({"rules": TRUTH_RULES}, fh)
+        with open(truth, "wb") as fh:
+            fh.write(data)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(["--quiet", "run", "--input", stream, "--rules", rules_path,
+                       "--out", out, "--truth", truth])
+        if rc != EXIT_OK:
+            assert not os.path.exists(out), "a bad truth file is refused before output"
+            return rc, None, err.getvalue()
+        with open(out + ".metrics.jsonl", encoding="utf-8") as fh:
+            return rc, json.loads(fh.readlines()[-1])["accuracy"], err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(truth_files())
+def test_run_exits_0_or_2_on_a_random_truth_file(data):
+    """Exit 0 or 2 with a short stderr; a file that loads is scored as one
+    event per non-blank line, against the run's four notifications."""
+    rc, accuracy, err = run_with_truth(data)
+    assert rc in (EXIT_OK, EXIT_INPUT), err[-2000:]
+    assert len(err) <= 1000, err[:2000]
+    if rc == EXIT_OK:
+        events = sum(1 for line in data.splitlines() if line.strip())
+        assert accuracy["tp"] + accuracy["fp"] == 4
+        assert accuracy["tp"] + accuracy["fn"] == events
+
+
+TRUTH_EVENT = '{"kind": "horse_ride", "start_ms": 40, "end_ms": 520, "participants": [3, 4]}'
+NAMED_TRUTH_FILES = {
+    "an empty file": (b"", EXIT_OK),
+    "blank lines only": (b"\n  \n\t\r\n", EXIT_OK),
+    "the planted ride": (TRUTH_EVENT.encode() + b"\n", EXIT_OK),
+    "an interval of +-10**400 ms": (json.dumps(
+        {"kind": "horse_ride", "start_ms": -10 ** 400, "end_ms": 10 ** 400}).encode(),
+        EXIT_OK),
+    "start_ms equal to end_ms": (b'{"kind": "punch", "start_ms": 5, "end_ms": 5}', EXIT_INPUT),
+    "a float start_ms": (b'{"kind": "punch", "start_ms": 5.0, "end_ms": 9}', EXIT_INPUT),
+    "a bool participant": (b'{"kind": "punch", "start_ms": 5, "end_ms": 9, '
+                           b'"participants": [true]}', EXIT_INPUT),
+    "a line that is a list": (b"[1, 2]", EXIT_INPUT),
+    "a byte-order mark": (b"\xef\xbb\xbf" + TRUTH_EVENT.encode(), EXIT_INPUT),
+    "invalid UTF-8": (TRUTH_EVENT.encode() + b"\n\xff\n", EXIT_INPUT),
+    "50,000 nested lists": (b"[" * 50_000, EXIT_INPUT),
+    # the error once quoted the UnicodeDecodeError's repr: every byte of
+    # the chunk being decoded, 20 KB of stderr here
+    "invalid UTF-8 after 20 KB": ((TRUTH_EVENT + "\n").encode() * 250 + b"\xff",
+                                  EXIT_INPUT),
+    "a 4,401-digit start_ms": (HUGE_START, EXIT_INPUT),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_TRUTH_FILES))
+def test_named_truth_files(name):
+    data, expected = NAMED_TRUTH_FILES[name]
+    rc, _, err = run_with_truth(data)
+    assert rc == expected
+    assert len(err) <= 1000, err[:2000]

@@ -11,6 +11,9 @@ linter ships with the project.
   (``self`` and ``cls`` exempt), so an argument no caller needs is dropped.
 - Every exception class in ``errors`` is named by another module, so an
   error nothing raises or catches is dropped.
+- Only ``cli`` imports ``gc``: the collector is turned off around the
+  command's stream loop there and nowhere else, so the library never
+  changes its caller's collector (see ``tests/test_gc.py``).
 """
 
 import ast
@@ -159,3 +162,32 @@ def test_every_exception_is_named_by_another_module():
     assert unnamed_exceptions(
         errors.read_text(encoding="utf-8"),
         [p.read_text(encoding="utf-8") for p in SOURCES if p != errors]) == []
+
+
+def modules_importing(module: str, sources):
+    """The names of the sources (``{name: source}``) that import ``module``."""
+    found = []
+    for name, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                imported = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported = [node.module.split(".")[0]]
+            else:
+                continue
+            if module in imported:
+                found.append(name)
+                break
+    return sorted(found)
+
+
+def test_gate_sees_a_gc_import():
+    assert modules_importing("gc", {
+        "a.py": "import os, gc\n", "b.py": "def f():\n    from gc import freeze\n",
+        "c.py": "import gcx\nfrom . import gc_util\n", "d.py": "x = 'import gc'\n",
+    }) == ["a.py", "b.py"]
+
+
+def test_only_cli_imports_gc():
+    assert modules_importing("gc", {p.name: p.read_text(encoding="utf-8")
+                                    for p in SOURCES}) == ["cli.py"]

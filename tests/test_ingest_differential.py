@@ -194,6 +194,19 @@ REGRESSIONS = {
     "bbox_huge_int": (_record(_obj(bbox=[0, 0, 10 ** 400, 5])), None, "rejected"),
     "bbox_nan": ('{"frame":3,"ts_ms":100,"objects":[{"track":1,"label":"car",'
                  '"conf":0.5,"bbox":[NaN,0,5,5]}]}', None, "rejected"),
+    # a float is taken as it is and an int converts; anything else is refused
+    "bbox_four_floats": (_record(_obj(bbox=[0.5, 1.25, 5.0, 7.5])), None, "accepted"),
+    "bbox_four_ints": (_record(_obj(bbox=[0, -3, 5, 7])), None, "accepted"),
+    "bbox_floats_and_ints": (_record(_obj(bbox=[0.5, 3, 5.0, 7])), None, "accepted"),
+    "bbox_floats_holding_a_bool": (_record(_obj(bbox=[0.5, 1.5, True, 7.5])),
+                                   None, "rejected"),
+    "label_string": (_record(_obj(label="person")), None, "accepted"),
+    # the optional keys are read only past the four required ones
+    "unknown_fifth_key": (_record(_obj(color="red")), None, "accepted"),
+    "optional_keys_empty": (_record(_obj(keypoints={}, features=[], attrs={})),
+                            None, "accepted"),
+    "unknown_key_then_bad_attrs": (_record(_obj(color="red", attrs=[1])),
+                                   None, "rejected"),
     "bbox_zero_height": (_record(_obj(bbox=[0, 0, 5, 0])), None, "rejected"),
     "bbox_negative_zero_width": (_record(_obj(bbox=[0, 0, -0.0, 5])), None, "rejected"),
     "bbox_subnormal_width": (_record(_obj(bbox=[0, 0, 1e-320, 5])), None, "accepted"),

@@ -1,6 +1,7 @@
 """Accuracy-scoring and latency-report tests."""
 
 import random
+import weakref
 
 import pytest
 
@@ -127,6 +128,26 @@ class TestLatency:
                 assert r.tag.pairs_ms > 0
             assert lat.vekg_construction_ms >= r.tag.pairs_ms
             assert lat.tag_construction_ms >= 0
+
+    def test_a_window_is_let_go_before_the_next_frame_is_read(self):
+        """Once its result is dropped, a window's tag is freed before the
+        pipeline reads on, so freeing its records is not paid inside the
+        next window's close."""
+        sc = synth.get_scenario("street")
+        rs = register_rules([dict(r) for r in sc.rule_configs])
+        tags, alive = [], []
+
+        def reading(frames):
+            for f in frames:
+                alive.append(sum(ref() is not None for ref in tags))
+                yield f
+
+        for result in run_pipeline(reading(synth.generate_frames(sc)), rs,
+                                   window_ms=5_000):
+            tags.append(weakref.ref(result.tag))
+            del result
+        assert len(tags) >= 10 and len(alive) > len(tags)
+        assert max(alive) == 0
 
     @pytest.mark.parametrize("name", ["horse_ride_positive", "street"])
     def test_run_builds_no_frame_graph(self, monkeypatch, name):

@@ -6,7 +6,8 @@ the mount.
 ``rules.eval_ride`` must give the same notifications on random
 rider/mount windows.  It calls ``_velocity`` at most once per track and
 frame, and exactly at the frames where some pair of that track passes
-the overlap-and-above test.  Riders sit on their mount at some frames
+the overlap-and-above test; the ride rules of one window share those
+velocities.  Riders sit on their mount at some frames
 only: at others they are beside it (overlapping, not above), high above
 it (above, not overlapping), below it, or not detected, now and then in
 runs around ``max_gap_frames``.  Mounts step at about ``min_speed_px``
@@ -170,3 +171,23 @@ def test_a_mount_moving_the_other_way_does_not_ride():
               for i in range(8)]
     notes, _ = assert_matches_the_reference(frames, ride_rule(1.0, 3, 2))
     assert notes == []
+
+
+def test_horse_and_bike_rules_share_the_window_velocities():
+    """A rider over a horse and a bike that move together: the horse and
+    bike rules on one window compute each velocity once between them, and
+    each gives the notes it gives on a window of its own."""
+    frames = [frame(i, 33 * i, [rider, horse, obj(20, "bike", (horse.bbox.x, 300, *MOUNT))])
+              for i, (rider, horse) in enumerate(riding(12))]
+    needs = {**NEEDS, ("person", "bike"): {"topology", "direction"}}
+    horse_rule, bike_rule = rules.register_rules([
+        {"id": "h", "kind": "horse_ride", "params": {"min_frames": 5}},
+        {"id": "b", "kind": "bike_ride", "params": {"min_frames": 5}}]).rules
+    tag = aggregate(window_of(frames), needs)
+    horse_notes, horse_calls = notes_and_velocity_calls(tag, horse_rule)
+    bike_notes, bike_calls = notes_and_velocity_calls(tag, bike_rule)
+    assert sorted(horse_calls) == sorted({(t, i) for t in (1, 10) for i in range(12)})
+    assert sorted(bike_calls) == [(20, i) for i in range(12)]   # the rider's are known
+    for rule, notes in ((horse_rule, horse_notes), (bike_rule, bike_notes)):
+        alone = rules.eval_ride(aggregate(window_of(frames), needs), rule)
+        assert notes == alone and len(notes) == 1

@@ -6,14 +6,15 @@ import pytest
 
 from conftest import frame, obj, window_of
 from vekg.errors import InvalidRuleConfig
-from vekg.rules import (Matcher, RuleKind, _two_phase, eval_attribute,
-                        eval_fall, eval_jaywalk, eval_parking, eval_ride,
-                        eval_traffic, register_rules)
+from vekg.rules import (Matcher, RuleKind, _tracks_with_label, _two_phase,
+                        eval_attribute, eval_fall, eval_handshake, eval_jaywalk,
+                        eval_parking, eval_punch, eval_ride, eval_traffic,
+                        register_rules)
 from vekg.tag import X, aggregate
 from vekg.windowing import time_window
 from vekg.graph import stream_graphs
 from vekg.pipeline import run_pipeline
-from vekg import synth
+from vekg import geometry, synth
 
 
 def one_rule(kind, params=None, labels=None, window_ms=10_000):
@@ -278,6 +279,25 @@ class TestHandshakePunchScenarios:
     def test_handshake_does_not_fire_punch(self):
         assert self._notes("punch_negative") == []
 
+    @pytest.mark.parametrize("name", ["handshake_positive", "punch_positive"])
+    def test_handshake_and_punch_build_the_arm_series_once(self, name, monkeypatch):
+        """Punch after handshake on one window computes no arm angle, and
+        each rule's notes are those it gives on a window of its own."""
+        sc = synth.get_scenario(name)
+        frames = [f for f in synth.generate_frames(sc) if f.timestamp < sc.window_ms]
+        shake, punch = one_rule("handshake"), one_rule("punch")
+        alone = [eval_handshake(tag_of(frames), shake), eval_punch(tag_of(frames), punch)]
+        angles = []
+        segment_angle = geometry.segment_angle
+        monkeypatch.setattr(geometry, "segment_angle",
+                            lambda *a: angles.append(a) or segment_angle(*a))
+        tag = tag_of(frames)
+        shared = [eval_handshake(tag, shake)]
+        built = len(angles)
+        shared.append(eval_punch(tag, punch))
+        assert built > 0 and len(angles) == built
+        assert shared == alone and any(alone)
+
 
 REGION = [[0, 0], [100, 0], [100, 100], [0, 100]]
 
@@ -461,6 +481,20 @@ class TestMatcherProperties:
         tag = tag_of(ride_frames(mount="bike"), rs.relation_needs())
         notes = Matcher(rs).match(tag)
         assert [(n.rule_id, n.kind) for n in notes] == [("b", RuleKind.BIKE_RIDE)]
+
+
+class TestTracksWithLabel:
+    def test_tracks_of_the_labels_in_id_order(self):
+        frames = [frame(0, 0, [obj(7, "person"), obj(3, "horse"), obj(5, "person"),
+                               obj(1, "car"), obj(4, "bike")]),
+                  frame(1, 33, [obj(3, "person"), obj(9, "horse")])]
+        tag = tag_of(frames)
+        assert _tracks_with_label(tag, ("person",)) == [3, 5, 7]
+        assert _tracks_with_label(tag, ("horse", "person")) == [3, 5, 7, 9]
+        assert _tracks_with_label(tag, ("person", "person", "cow")) == [3, 5, 7]
+        assert _tracks_with_label(tag, ("cow",)) == []
+        assert tag.tracks_by_label == {"bike": [4], "car": [1], "horse": [9],
+                                       "person": [3, 5, 7]}
 
 
 class TestScaleInvariance:

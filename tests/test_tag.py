@@ -79,6 +79,17 @@ class TestAggregate:
         assert tag.nodes[2].label == "bus"
         assert tag.nodes[2].attributes == {"color": "white"}
 
+    def test_last_present_object_found_once(self):
+        """Label and attributes read the one object found at the track's
+        last present frame, and it is looked up once per node."""
+        frames = [frame(0, 0, [obj(1, label="van", attrs={"color": "red"})]),
+                  frame(1, 33, [obj(1, label="car", attrs={"color": "blue"})]),
+                  frame(2, 66, [])]
+        node = aggregate(window_of(frames, set())).nodes[1]
+        assert "_last_seen" not in vars(node)
+        assert (node.label, node.attributes) == ("car", {"color": "blue"})
+        assert vars(node)["_last_seen"] is node.frames[1]
+
     def test_n_squared_law_random(self):
         rng = random.Random(21)
         for _ in range(25):
