@@ -39,52 +39,28 @@ class DirectionClass(Enum):
     RIGHT = "right"
 
 
-class SlotRecord:
-    """Base of the slotted value records: equality and repr over the
-    fields a subclass lists in ``__slots__``, in constructor order.
-
-    Records are unhashable unless a subclass defines ``__hash__``.  Treat
-    them as immutable: nothing stops an assignment, but the constructor's
-    checks and a box's hash hold only for the values it was built with.
-    """
-
-    __slots__ = ()
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-
-class BoundingBox(SlotRecord):
+@dataclass(slots=True, unsafe_hash=True)
+class BoundingBox:
     """Axis-aligned pixel box given by top-left corner and size.
 
-    The constructor raises ValueError unless all four values are finite
-    and ``w, h > 0``.  Boxes compare and hash by value.
+    A slotted dataclass: boxes compare and hash by value.  The
+    constructor raises ValueError unless all four values are finite and
+    ``w, h > 0``.  Treat a box as immutable: nothing stops an assignment,
+    but those checks and the hash hold only for the values it was built
+    with.
     """
 
-    __slots__ = ("x", "y", "w", "h")
+    x: float
+    y: float
+    w: float
+    h: float
 
-    def __init__(self, x: float, y: float, w: float, h: float):
-        for v in (x, y, w, h):
+    def __post_init__(self):
+        for v in (self.x, self.y, self.w, self.h):
             if not math.isfinite(v):
                 raise ValueError("bounding box coordinates must be finite")
-        if w <= 0 or h <= 0:
+        if self.w <= 0 or self.h <= 0:
             raise ValueError("bounding box must have positive width and height")
-        self.x = x
-        self.y = y
-        self.w = w
-        self.h = h
-
-    def __hash__(self) -> int:
-        return hash(self._values())
 
     @property
     def x2(self) -> float:

@@ -13,10 +13,11 @@ integer milliseconds since stream start and must strictly increase.
 
 ``parse_frame`` is the one parser: a single validating pass over the
 decoded line reads each field once, checks its exact JSON type there,
-makes the records' own checks in the same loop, and fills the slotted
-records (``BoundingBox``, ``ObjectNode``, ``FrameDetections``) without
-running their constructors again.  The constructors keep those checks
-for every other caller.
+makes the records' own checks in the same loop, and fills the records
+(``BoundingBox``, ``ObjectNode``, ``FrameDetections``, slotted
+dataclasses) without running their constructors again.  The
+constructors' ``__post_init__`` keeps those checks for every other
+caller.
 """
 
 from __future__ import annotations
@@ -29,56 +30,57 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
 from .errors import MalformedRecord, NonMonotonicTime, SchemaViolation, SourceUnavailable
-from .geometry import BoundingBox, SlotRecord
+from .geometry import BoundingBox
 
 STREAM_FORMAT = "vekg-detections"
 STREAM_VERSION = 1
 
 
-class ObjectNode(SlotRecord):
-    """One detected object instance in one frame.
+@dataclass(slots=True)
+class ObjectNode:
+    """One detected object instance in one frame, as a slotted dataclass.
 
     The constructor raises SchemaViolation unless the confidence lies in
-    [0, 1] and every keypoint is finite.
+    [0, 1] and every keypoint is finite; ``attributes=None`` stores ``{}``.
     """
 
-    __slots__ = ("track_id", "label", "confidence", "bbox", "attributes", "keypoints")
+    track_id: int
+    label: str
+    confidence: float
+    bbox: BoundingBox
+    attributes: Optional[Dict[str, str]] = None
+    keypoints: Optional[Dict[str, Tuple[float, float]]] = None
 
-    def __init__(self, track_id: int, label: str, confidence: float,
-                 bbox: BoundingBox, attributes: Optional[Dict[str, str]] = None,
-                 keypoints: Optional[Dict[str, Tuple[float, float]]] = None):
-        if not 0.0 <= confidence <= 1.0:
-            raise SchemaViolation(
-                f"confidence {confidence} outside [0, 1] for track {track_id}")
-        if keypoints is not None:
-            for name, (x, y) in keypoints.items():
+    def __post_init__(self):
+        if not 0.0 <= self.confidence <= 1.0:
+            raise SchemaViolation(f"confidence {self.confidence} outside [0, 1] "
+                                  f"for track {self.track_id}")
+        if self.keypoints is not None:
+            for name, (x, y) in self.keypoints.items():
                 if not (math.isfinite(x) and math.isfinite(y)):
                     raise SchemaViolation(f"non-finite keypoint {name!r}")
-        self.track_id = track_id
-        self.label = label
-        self.confidence = confidence
-        self.bbox = bbox
-        self.attributes = {} if attributes is None else attributes
-        self.keypoints = keypoints
+        if self.attributes is None:
+            self.attributes = {}
 
 
-class FrameDetections(SlotRecord):
-    """All detections of one frame, with its stream timestamp.
+@dataclass(slots=True)
+class FrameDetections:
+    """All detections of one frame, with its stream timestamp, as a
+    slotted dataclass.
 
     The constructor raises SchemaViolation on a negative frame index or a
     track that appears twice.
     """
 
-    __slots__ = ("frame_index", "timestamp", "objects")
+    frame_index: int
+    timestamp: int
+    objects: Tuple[ObjectNode, ...]
 
-    def __init__(self, frame_index: int, timestamp: int,
-                 objects: Tuple[ObjectNode, ...]):
-        if frame_index < 0:
+    def __post_init__(self):
+        if self.frame_index < 0:
             raise SchemaViolation("frame_index must be non-negative")
-        _check_tracks(frame_index, objects, {o.track_id for o in objects})
-        self.frame_index = frame_index
-        self.timestamp = timestamp
-        self.objects = objects
+        _check_tracks(self.frame_index, self.objects,
+                      {o.track_id for o in self.objects})
 
 
 def _check_tracks(frame_index: int, objects, tracks: set) -> None:

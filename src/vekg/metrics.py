@@ -61,9 +61,7 @@ class AccuracyReport:
     f_score: float
 
     def as_dict(self) -> dict:
-        return {"tp": self.tp, "fp": self.fp, "fn": self.fn,
-                "precision": self.precision, "recall": self.recall,
-                "f_score": self.f_score}
+        return dict(vars(self))   # the fields, in declaration order
 
 
 @dataclass(frozen=True)
@@ -78,10 +76,8 @@ class LatencyReport:
                 + self.tag_search_ms)
 
     def as_dict(self) -> dict:
-        return {"vekg_construction_ms": self.vekg_construction_ms,
-                "tag_construction_ms": self.tag_construction_ms,
-                "tag_search_ms": self.tag_search_ms,
-                "total_ms": self.total_ms}
+        # the fields, in declaration order, then their sum
+        return {**vars(self), "total_ms": self.total_ms}
 
 
 def temporal_iou(a: Interval, b: Interval) -> float:

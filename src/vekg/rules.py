@@ -66,6 +66,8 @@ class MatchNotification:
 # --- parameter parsers: raw config value -> value, or TypeError/ValueError ---
 
 def _number(raw) -> float:
+    if isinstance(raw, bool):   # YAML true/false, a subclass of int
+        raise TypeError("must be a number, not true or false")
     value = float(raw)
     if not math.isfinite(value):
         raise ValueError("must be a finite number")
@@ -73,6 +75,8 @@ def _number(raw) -> float:
 
 
 def _integer(raw) -> int:
+    if isinstance(raw, bool):
+        raise TypeError("must be a whole number, not true or false")
     value = int(raw)   # int("12") loads; int(2.7) would truncate
     if not isinstance(raw, str) and value != raw:
         raise ValueError("must be a whole number")
@@ -116,7 +120,7 @@ def _region(raw) -> Region:
 def _boxes(raw) -> List[BoundingBox]:
     if not isinstance(raw, list):
         raise TypeError("must be a list of [x, y, w, h] boxes")
-    return [BoundingBox(*[float(v) for v in box]) for box in raw]
+    return [BoundingBox(*[_number(v) for v in box]) for box in raw]
 
 
 REQUIRED = object()   # a param default: the rule file must give the param
@@ -192,6 +196,9 @@ class RuleSet:
         return next(iter(lengths))
 
 
+_RULE_KEYS = frozenset({"id", "kind", "window_ms", "params", "labels"})
+
+
 def register_rules(configs: Sequence[dict]) -> RuleSet:
     """Validate declarative rule configs into a RuleSet."""
     rules = []
@@ -207,18 +214,24 @@ def register_rules(configs: Sequence[dict]) -> RuleSet:
             raise InvalidRuleConfig(
                 f"bad or missing rule kind: {_quote(name)}") from exc
         spec = KINDS[kind]
-        rule_id = _parse(_text, cfg.get("id") or cfg.get("rule_id") or "",
-                         "id", "?")
+        rule_id = _parse(_text, cfg.get("id") or "", "id", "?")
         if not rule_id:
             raise InvalidRuleConfig("rule needs an id")
         if rule_id in seen_ids:
             raise InvalidRuleConfig(f"duplicate rule id {rule_id!r}")
         seen_ids.add(rule_id)
+        unread = sorted(map(str, set(cfg) - _RULE_KEYS))
+        if unread:
+            raise InvalidRuleConfig(
+                f"rule {rule_id}: unknown key(s) {unread}; a rule holds only "
+                f"{sorted(_RULE_KEYS)}, and params go under 'params'")
         window_ms = _parse(_integer, cfg.get("window_ms", 10_000), "window_ms", rule_id)
         if window_ms <= 0:
             raise InvalidRuleConfig(f"rule {rule_id}: window_ms must be positive")
-        given = cfg.get("params") or {}
-        if not isinstance(given, dict):
+        given = cfg.get("params")
+        if given is None:
+            given = {}
+        elif not isinstance(given, dict):
             raise InvalidRuleConfig(f"rule {rule_id}: params must be a mapping")
         unknown = sorted(map(str, set(given) - set(spec.params)))
         if unknown:

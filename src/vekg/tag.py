@@ -191,9 +191,7 @@ class ReductionReport:
     degenerate: bool   # True when a ratio came out negative (tiny windows)
 
     def as_dict(self) -> dict:
-        return {"vekg_nodes": self.vekg_nodes, "tag_nodes": self.tag_nodes,
-                "vekg_edges": self.vekg_edges, "tag_edges": self.tag_edges,
-                "rin": self.rin, "rie": self.rie, "degenerate": self.degenerate}
+        return dict(vars(self))   # the fields, in declaration order
 
 
 def reduction_report(window: WindowState, tag: VekgTag) -> ReductionReport:

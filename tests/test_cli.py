@@ -351,6 +351,27 @@ class TestValidate:
 class TestRuleParams:
     """A bad rule config is rejected at load, whatever the stream holds."""
 
+    # shapes refused at load: YAML booleans where a number is read, keys
+    # that nothing reads, and params that are not a mapping
+    LOAD_REFUSALS = {
+        "window-true": {"id": "f", "kind": "fall_detection", "window_ms": True},
+        "count-true": {"id": "r", "kind": "horse_ride", "params": {"min_frames": True}},
+        "threshold-true": {"id": "t", "kind": "high_volume_traffic",
+                           "params": {"region": [[0, 0], [50, 0], [50, 50]],
+                                      "count_threshold": True}},
+        "slot-coordinate-true": {"id": "p", "kind": "parking_slot_status",
+                                 "params": {"slots": [[True, "5", 5, 5]],
+                                            "overlap_threshold": 0.5}},
+        "param-beside-kind": {"id": "f", "kind": "fall_detection", "gap_frames": 5},
+        "label-for-labels": {"id": "f", "kind": "fall_detection", "label": "person"},
+        "window-for-window-ms": {"id": "f", "kind": "fall_detection", "window": 500},
+        "rule-id-alias": {"rule_id": "f", "kind": "fall_detection"},
+        "rule-id-beside-id": {"id": "f", "rule_id": "f", "kind": "fall_detection"},
+        "params-list": {"id": "f", "kind": "fall_detection", "params": []},
+        "params-zero": {"id": "f", "kind": "fall_detection", "params": 0},
+        "params-empty-string": {"id": "f", "kind": "fall_detection", "params": ""},
+    }
+
     @staticmethod
     def run_with(tmp_path, actors, rule, doc=None, args=(), text=None):
         """Run 30 frames of ``actors`` under the rules file ``doc``, by
@@ -406,14 +427,24 @@ class TestRuleParams:
         {"id": "f", "kind": "fall_detection", "params": {"still_frame": 3}},
         {"id": "h", "kind": "handshake", "params": {"gap_frames": 5}},
         {"id": "p", "kind": "punch", "params": {"gap_frames": 50}},
+        *LOAD_REFUSALS.values(),
     ], ids=["negative-penalty", "labels-int", "window-string", "slots-int",
             "threshold-string", "ride-one-label", "ride-three-labels",
             "ride-same-labels", "threshold-nan", "labels-empty",
             "labels-empty-string", "window-fraction", "int-param-fraction",
-            "unknown-param", "handshake-gap-frames", "punch-gap-frames"])
+            "unknown-param", "handshake-gap-frames", "punch-gap-frames",
+            *LOAD_REFUSALS])
     def test_bad_rule_config_exits_2(self, tmp_path, rule):
         rc, _ = self.run_with(tmp_path, [(1, "person", [10, 10, 40, 90])], rule)
         assert rc == EXIT_INPUT
+
+    @pytest.mark.parametrize("rule", LOAD_REFUSALS.values(), ids=LOAD_REFUSALS)
+    def test_refusal_is_one_line_before_any_output(self, tmp_path, capsys, rule):
+        rc, out = self.run_with(tmp_path, [(1, "person", [10, 10, 40, 90])], rule)
+        assert rc == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
 
     def test_window_disagreement_quotes_a_huge_length_short(self, tmp_path, capsys):

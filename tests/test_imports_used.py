@@ -14,6 +14,9 @@ linter ships with the project.
 - Only ``cli`` imports ``gc``: the collector is turned off around the
   command's stream loop there and nowhere else, so the library never
   changes its caller's collector (see ``tests/test_gc.py``).
+- No class assigns ``__slots__`` or defines ``__eq__`` or ``__hash__`` by
+  hand: records are ``@dataclass``es, which make these from one field
+  list, so no record states its fields twice.
 """
 
 import ast
@@ -191,3 +194,42 @@ def test_gate_sees_a_gc_import():
 def test_only_cli_imports_gc():
     assert modules_importing("gc", {p.name: p.read_text(encoding="utf-8")
                                     for p in SOURCES}) == ["cli.py"]
+
+
+RECORD_DUNDERS = {"__slots__", "__eq__", "__hash__"}
+
+
+def hand_made_record_dunders(source: str):
+    """``Class.name`` of each ``__slots__``, ``__eq__`` or ``__hash__``
+    that a class body assigns or defines."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for stmt in node.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                continue
+            found += [f"{node.name}.{name}" for name in names if name in RECORD_DUNDERS]
+    return sorted(found)
+
+
+def test_gate_sees_a_hand_made_record():
+    assert hand_made_record_dunders(
+        "class A:\n    __slots__ = ('x',)\n    def __eq__(self, o):\n        return 1\n"
+        "class B:\n    __hash__ = None\n    __slots__: tuple = ()\n"
+        "    def __repr__(self):\n        return 'B'\n"
+        "def f():\n    class C:\n        def __hash__(self):\n            return 0\n"
+        "    return C\n"
+        "@dataclass(slots=True)\nclass D:\n    x: int\n"
+    ) == ["A.__eq__", "A.__slots__", "B.__hash__", "B.__slots__", "C.__hash__"]
+
+
+def test_no_class_makes_its_own_slots_eq_or_hash():
+    assert [f"{p.name}: {found}" for p in SOURCES
+            for found in hand_made_record_dunders(p.read_text(encoding="utf-8"))] == []

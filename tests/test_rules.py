@@ -102,6 +102,42 @@ class TestRegistry:
             register_rules([{"id": "j", "kind": "jaywalking",
                              "params": {"region": [[0, 0], [1, 1]]}}])
 
+    @pytest.mark.parametrize("cfg, message", [
+        ({"window_ms": True}, "'window_ms' = True: must be a whole number"),
+        ({"window_ms": False}, "'window_ms' = False: must be a whole number"),
+        ({"params": {"still_frames": True}}, "'still_frames' = True"),
+        ({"params": {"no_motion_speed_px": False}}, "must be a number, not true"),
+        ({"params": {"penalty": True}}, "'penalty' = True"),
+        ({"gap_frames": 5}, r"unknown key\(s\) \['gap_frames'\]"),
+        ({"label": "person", "window": 500}, r"unknown key\(s\) \['label', 'window'\]"),
+        ({"rule_id": "g"}, r"unknown key\(s\) \['rule_id'\]"),
+        ({7: "x"}, r"unknown key\(s\) \['7'\]"),
+        ({"params": []}, "params must be a mapping"),
+        ({"params": 0}, "params must be a mapping"),
+        ({"params": ""}, "params must be a mapping"),
+    ], ids=["window-true", "window-false", "count-true", "speed-false",
+            "penalty-true", "param-beside-kind", "misspelt-keys",
+            "rule-id-beside-id", "int-key", "params-list", "params-zero",
+            "params-empty-string"])
+    def test_refused_at_load(self, cfg, message):
+        with pytest.raises(InvalidRuleConfig, match=message):
+            register_rules([{"id": "f", "kind": "fall_detection", **cfg}])
+
+    def test_params_null_loads_the_defaults(self):
+        rule = one_rule("fall_detection")
+        assert register_rules([{"id": "r", "kind": "fall_detection",
+                                "params": None}]).rules[0] == rule
+
+    @pytest.mark.parametrize("slot", [[True, "5", 5, 5], [0, 0, 5, False],
+                                      [0, 0, "nan", 5]])
+    def test_slot_coordinates_read_as_numbers(self, slot):
+        with pytest.raises(InvalidRuleConfig, match="'slots'"):
+            one_rule("parking_slot_status", {"slots": [slot],
+                                             "overlap_threshold": 0.5})
+        rule = one_rule("parking_slot_status", {"slots": [["1", 2, 3.5, "4"]],
+                                                "overlap_threshold": 0.5})
+        assert rule.params["slots"] == [geometry.BoundingBox(1.0, 2.0, 3.5, 4.0)]
+
 
 # every frame-count param, under each kind that reads it, with the
 # params that kind requires
