@@ -214,9 +214,10 @@ def register_rules(configs: Sequence[dict]) -> RuleSet:
             raise InvalidRuleConfig(
                 f"bad or missing rule kind: {_quote(name)}") from exc
         spec = KINDS[kind]
-        rule_id = _parse(_text, cfg.get("id") or "", "id", "?")
-        if not rule_id:
-            raise InvalidRuleConfig("rule needs an id")
+        rule_id = cfg.get("id")
+        if rule_id is None or rule_id == "" or isinstance(rule_id, bool):
+            raise InvalidRuleConfig(f"rule needs an id, not {_quote(rule_id)}")
+        rule_id = _parse(_text, rule_id, "id", "?")
         if rule_id in seen_ids:
             raise InvalidRuleConfig(f"duplicate rule id {rule_id!r}")
         seen_ids.add(rule_id)
@@ -455,16 +456,11 @@ _SIDE_KEYS = {
 }
 
 
-def _keypoint_series(tag: VekgTag, track: int, name: str) -> list:
-    return [X if obj is None or not obj.keypoints or name not in obj.keypoints
-            else obj.keypoints[name] for obj in tag.nodes[track].frames]
-
-
 def _arm_series(tag: VekgTag, tracks: Sequence[int]) -> Dict[int, Dict[str, tuple]]:
     """Per track, ``{side: (wrist series, arm-angle series)}`` for each arm
-    side whose shoulder, wrist and hip appear together in some frame.  A
-    track's series are built once per window and shared by handshake and
-    punch.
+    side whose shoulder, wrist and hip appear together in some frame, so
+    arm presence is decided once per track and side.  The series are built
+    once per window and shared by handshake and punch.
 
     The angle is between the arm (shoulder->wrist) and the body line
     (shoulder->hip): 0 with the arm hanging down, ~90 when horizontal.
@@ -526,7 +522,8 @@ def _two_phase(beta: list, theta_list: List[list], epsilon: float,
 
 
 def eval_handshake(tag: VekgTag, rule: EventRule) -> List[MatchNotification]:
-    """Both arms raise while wrists converge, then the reverse."""
+    """Both arms raise while wrists converge, then the reverse.  Per side,
+    only pairs armed on both are searched: C(n,2) - C(armed,2) skipped."""
     p = rule.params
     eps = p["trend_epsilon"]
     min_phase = p["min_phase_frames"]
@@ -534,14 +531,11 @@ def eval_handshake(tag: VekgTag, rule: EventRule) -> List[MatchNotification]:
     arms = _arm_series(tag, persons)
     skipped = 0
     out = []
-    for ai, u in enumerate(persons):
-        for v in persons[ai + 1:]:
-            for side in _SIDE_KEYS:
-                if side not in arms[u] or side not in arms[v]:
-                    skipped += 1
-                    continue
-                wu, t1 = arms[u][side]
-                wv, t2 = arms[v][side]
+    for side in _SIDE_KEYS:
+        armed = [(t, arms[t][side]) for t in persons if side in arms[t]]
+        skipped += math.comb(len(persons), 2) - math.comb(len(armed), 2)
+        for ai, (u, (wu, t1)) in enumerate(armed):
+            for v, (wv, t2) in armed[ai + 1:]:
                 beta = [geometry.point_distance(a, b)
                         if a is not X and b is not X else X
                         for a, b in zip(wu, wv)]
@@ -562,7 +556,8 @@ def eval_handshake(tag: VekgTag, rule: EventRule) -> List[MatchNotification]:
 
 
 def eval_punch(tag: VekgTag, rule: EventRule) -> List[MatchNotification]:
-    """One arm raises while the wrist closes on the other's shoulder."""
+    """One arm raises while the wrist closes on the other's shoulder.  Per
+    side, only armed attackers are searched: (n - armed)(n - 1) skipped."""
     p = rule.params
     eps = p["trend_epsilon"]
     min_phase = p["min_phase_frames"]
@@ -572,19 +567,19 @@ def eval_punch(tag: VekgTag, rule: EventRule) -> List[MatchNotification]:
     shoulders: Dict[int, list] = {}   # victim -> [(right, left) per frame]
     skipped = 0
     out = []
-    for attacker in persons:
-        for victim in persons:
-            if attacker == victim:
-                continue
-            for side in _SIDE_KEYS:
-                if side not in arms[attacker]:
-                    skipped += 1
+    for side in _SIDE_KEYS:
+        armed = [(t, arms[t][side]) for t in persons if side in arms[t]]
+        skipped += (len(persons) - len(armed)) * (len(persons) - 1)
+        for attacker, (wa, theta) in armed:
+            for victim in persons:
+                if victim == attacker:
                     continue
                 if victim not in shoulders:
-                    shoulders[victim] = list(zip(
-                        _keypoint_series(tag, victim, "right_shoulder"),
-                        _keypoint_series(tag, victim, "left_shoulder")))
-                wa, theta = arms[attacker][side]
+                    shoulders[victim] = [
+                        (X, X) if obj is None or not obj.keypoints else
+                        (obj.keypoints.get("right_shoulder", X),
+                         obj.keypoints.get("left_shoulder", X))
+                        for obj in tag.nodes[victim].frames]
                 beta = []
                 for w, (r, l) in zip(wa, shoulders[victim]):
                     if w is X or (r is X and l is X):

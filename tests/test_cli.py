@@ -370,6 +370,11 @@ class TestRuleParams:
         "params-list": {"id": "f", "kind": "fall_detection", "params": []},
         "params-zero": {"id": "f", "kind": "fall_detection", "params": 0},
         "params-empty-string": {"id": "f", "kind": "fall_detection", "params": ""},
+        "id-missing": {"kind": "fall_detection"},
+        "id-null": {"id": None, "kind": "fall_detection"},
+        "id-empty": {"id": "", "kind": "fall_detection"},
+        "id-true": {"id": True, "kind": "fall_detection"},
+        "id-false": {"id": False, "kind": "fall_detection"},
     }
 
     @staticmethod

@@ -12,14 +12,30 @@ file, and then run again on a changed copy of its stream:
   another (and the truth file's times by the first), each notification's
   interval and each metrics record's ``start_ms``/``end_ms`` shift by the
   first constant, and nothing else changes.
+- With the tracks renumbered by the increasing map ``t -> 5t + 3`` (in
+  the stream and the truth file), the notifications are the same, in
+  the same order, once their participants are mapped, and the metrics
+  lines outside ``latency`` do not change.  With the decreasing map
+  ``t -> 10000 - t`` the set of notifications is the same once mapped;
+  only their order, and the order within participants, may differ.
+
+The positive handshake, punch, horse-ride and parking scenarios are
+also run through ``python -m vekg.cli`` under ``PYTHONHASHSEED`` 0 to 3,
+four processes at a time: the notifications must be byte-identical, and
+the metrics lines identical outside ``latency``.
 """
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
+import vekg
 from vekg import synth
 from vekg.cli import EXIT_OK, main
 
@@ -99,3 +115,77 @@ def test_shifting_time_and_frame_numbers_shifts_only_intervals(stream):
             moved["end_ms"] -= TS_SHIFT
     assert moved_notes == [json.loads(line) for line in notes]
     assert moved_records == records
+
+
+def renumbered(frames, truth, new_id):
+    return ([{**f, "objects": [{**o, "track": new_id(o["track"])} for o in f["objects"]]}
+             for f in frames],
+            [{**t, "participants": [new_id(p) for p in t["participants"]]} for t in truth])
+
+
+def mapped(notes, new_id):
+    out = []
+    for line in notes:
+        note = json.loads(line)
+        note["participants"] = [new_id(p) for p in note["participants"]]
+        out.append(note)
+    return out
+
+
+def test_renumbering_tracks_increasingly_maps_only_participants(stream):
+    run, frames, truth, (notes, records) = stream
+    new_id = lambda t: 5 * t + 3
+    got_notes, got_records = run("increasing", *renumbered(frames, truth, new_id))
+    assert [json.loads(line) for line in got_notes] == mapped(notes, new_id)
+    assert got_records == records
+
+
+def test_renumbering_tracks_decreasingly_keeps_the_set_of_notifications(stream):
+    run, frames, truth, (notes, records) = stream
+    new_id = lambda t: 10_000 - t
+    got_notes, got_records = run("decreasing", *renumbered(frames, truth, new_id))
+
+    def canonical(notes):
+        return sorted(json.dumps({**n, "participants": sorted(n["participants"])},
+                                 sort_keys=True) for n in notes)
+
+    assert canonical(json.loads(line) for line in got_notes) == \
+        canonical(mapped(notes, new_id))
+    assert got_records == records
+
+
+HASH_SEED_SCENARIOS = ["handshake_positive", "punch_positive", "horse_ride_positive",
+                       "parking_positive"]
+
+
+@pytest.mark.parametrize("name", HASH_SEED_SCENARIOS)
+def test_hash_seed_changes_no_output(name, tmp_path):
+    sc = synth.get_scenario(name)
+    stream, truth, rules = tmp_path / "s.jsonl", tmp_path / "t.jsonl", tmp_path / "r.yaml"
+    synth.generate(sc, stream, truth)
+    rules.write_text(yaml.safe_dump({"rules": [dict(r) for r in sc.rule_configs]}),
+                     encoding="utf-8")
+    src = str(Path(vekg.__file__).resolve().parents[1])
+    runs = []
+    outputs = []
+    try:
+        for seed in range(4):
+            env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            out = tmp_path / f"seed{seed}.jsonl"
+            runs.append((out, subprocess.Popen(
+                [sys.executable, "-m", "vekg.cli", "--quiet", "run", "--input", str(stream),
+                 "--rules", str(rules), "--truth", str(truth), "--out", str(out)], env=env)))
+        for out, proc in runs:
+            assert proc.wait(timeout=60) == EXIT_OK
+            records = [json.loads(line) for line in
+                       Path(f"{out}.metrics.jsonl").read_text(encoding="utf-8").splitlines()]
+            for record in records:
+                record.pop("latency", None)
+            outputs.append((out.read_bytes(), records))
+    finally:
+        for _, proc in runs:
+            proc.kill()
+            proc.wait()
+    assert outputs[0][0]
+    assert all(output == outputs[0] for output in outputs[1:])

@@ -1,5 +1,7 @@
 """Rule evaluator and registry tests."""
 
+import logging
+import random
 from dataclasses import replace
 
 import pytest
@@ -14,7 +16,7 @@ from vekg.tag import X, aggregate
 from vekg.windowing import time_window
 from vekg.graph import stream_graphs
 from vekg.pipeline import run_pipeline
-from vekg import geometry, synth
+from vekg import geometry, rules, synth
 
 
 def one_rule(kind, params=None, labels=None, window_ms=10_000):
@@ -40,6 +42,12 @@ class TestRegistry:
     def test_missing_id(self):
         with pytest.raises(InvalidRuleConfig):
             register_rules([{"kind": "fall_detection"}])
+
+    @pytest.mark.parametrize("raw, rule_id", [(0, "0"), (0.0, "0.0"), (1, "1"),
+                                              ("0", "0"), ("a", "a")])
+    def test_id_read_as_text(self, raw, rule_id):
+        rule = register_rules([{"id": raw, "kind": "fall_detection"}]).rules[0]
+        assert rule.rule_id == rule_id
 
     def test_duplicate_id(self):
         with pytest.raises(InvalidRuleConfig):
@@ -115,10 +123,14 @@ class TestRegistry:
         ({"params": []}, "params must be a mapping"),
         ({"params": 0}, "params must be a mapping"),
         ({"params": ""}, "params must be a mapping"),
+        ({"id": None}, "rule needs an id, not None"),
+        ({"id": ""}, "rule needs an id, not ''"),
+        ({"id": True}, "rule needs an id, not True"),
+        ({"id": False}, "rule needs an id, not False"),
     ], ids=["window-true", "window-false", "count-true", "speed-false",
             "penalty-true", "param-beside-kind", "misspelt-keys",
             "rule-id-beside-id", "int-key", "params-list", "params-zero",
-            "params-empty-string"])
+            "params-empty-string", "id-null", "id-empty", "id-true", "id-false"])
     def test_refused_at_load(self, cfg, message):
         with pytest.raises(InvalidRuleConfig, match=message):
             register_rules([{"id": "f", "kind": "fall_detection", **cfg}])
@@ -333,6 +345,79 @@ class TestHandshakePunchScenarios:
         shared.append(eval_punch(tag, punch))
         assert built > 0 and len(angles) == built
         assert shared == alone and any(alone)
+
+
+class TestArmSkips:
+    """The pair-sides that handshake and punch log as skipped, against a
+    brute-force count over the keypoints of random windows."""
+
+    PARTS = ("shoulder", "wrist", "hip")
+
+    def _window(self, rng, n):
+        """Twelve frames of ``n`` persons.  Each person shows keypoints of
+        both arm sides, one or none, and some a shoulder and wrist with no
+        hip, which is no arm."""
+        shows = {}
+        for t in range(1, n + 1):
+            shown = rng.choice([("right", "left"), ("right",), ("left",), ()])
+            shows[t] = [f"{side}_{part}" for side in shown for part in self.PARTS]
+            if rng.random() < 0.2:
+                side = rng.choice(["right", "left"])
+                shows[t] += [f"{side}_shoulder", f"{side}_wrist"]
+        frames = []
+        for i in range(12):
+            objs = []
+            for t in range(1, n + 1):
+                if rng.random() < 0.8:
+                    kps = {name: (rng.uniform(0, 400), rng.uniform(0, 400))
+                           for name in shows[t] if rng.random() < 0.7}
+                    objs.append(obj(t, "person", (40 * t, 50, 30, 80),
+                                    keypoints=kps or None))
+            frames.append(frame(i, 33 * i, objs))
+        return frames
+
+    @staticmethod
+    def _expected(frames):
+        """Brute force: (handshake, punch) pair-sides lacking an arm."""
+        tracks = sorted({o.track_id for f in frames for o in f.objects})
+        has = {(o.track_id, side) for f in frames for o in f.objects
+               for side in ("right", "left")
+               if o.keypoints and all(f"{side}_{part}" in o.keypoints
+                                      for part in TestArmSkips.PARTS)}
+        shake = sum(1 for a in tracks for b in tracks if a < b
+                    for side in ("right", "left")
+                    if (a, side) not in has or (b, side) not in has)
+        punch = sum(1 for a in tracks for b in tracks if a != b
+                    for side in ("right", "left") if (a, side) not in has)
+        return shake, punch
+
+    @staticmethod
+    def _logged(caplog, frames):
+        caplog.clear()
+        tag = tag_of(frames)
+        eval_handshake(tag, one_rule("handshake"))
+        eval_punch(tag, one_rule("punch"))
+        counts = {"handshake": 0, "punch": 0}
+        for record in caplog.records:
+            kind, rest = record.getMessage().split(" r: skipped ")
+            counts[kind] += int(rest.split()[0])
+        return counts["handshake"], counts["punch"]
+
+    def test_skipped_counts_match_brute_force(self, caplog):
+        caplog.set_level(logging.INFO, logger="vekg.rules")
+        rng = random.Random(27)
+        for _ in range(60):
+            frames = self._window(rng, rng.randint(0, 6))
+            assert self._logged(caplog, frames) == self._expected(frames)
+
+    def test_no_keypoints_searches_nothing(self, caplog, monkeypatch):
+        caplog.set_level(logging.INFO, logger="vekg.rules")
+        calls = []
+        monkeypatch.setattr(rules, "_two_phase", lambda *a: calls.append(a))
+        frames = [frame(i, 33 * i, [obj(t, "person", (40 * t, 50, 30, 80))
+                                    for t in range(1, 23)]) for i in range(12)]
+        assert self._logged(caplog, frames) == (2 * 231, 2 * 22 * 21)
+        assert calls == []
 
 
 REGION = [[0, 0], [100, 0], [100, 100], [0, 100]]
