@@ -12,7 +12,6 @@ import gc
 import json
 import logging
 import os
-import statistics
 import sys
 from contextlib import closing, contextmanager
 
@@ -178,6 +177,8 @@ def cmd_gen(ctx, scenario, out_path, truth_path, rules_path, seed,
 def cmd_bench(scenario, window_ms):
     """Medians of the per-window records that `run` writes, over SCENARIO
     run through the real pipeline with the scenario's own rules."""
+    import statistics   # only bench reads it: no other command pays its import
+
     from . import synth
     sc = synth.get_scenario(scenario)
     records, notes = [], 0

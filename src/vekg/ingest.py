@@ -18,6 +18,18 @@ makes the records' own checks in the same loop, and fills the records
 dataclasses) without running their constructors again.  The
 constructors' ``__post_init__`` keeps those checks for every other
 caller.
+
+A frame line is decoded with ``orjson.loads``, several times faster than
+``json.loads``.  Where the two could differ, it is decoded again
+with ``json.loads``, whose record or error is the answer: when orjson
+refuses the line (``NaN``, ``Infinity``, ``1e400``, an escaped lone
+surrogate, an integer past the double range), when the pass rejects it,
+and when the pass meets a non-string label or ``attrs`` value or a value
+it does not read.  A line with more than ``_MAX_FAST_NESTING`` brackets
+is decoded with ``json.loads`` alone.  So the accepted format and the
+error messages are those of ``json.loads``.  The header is always decoded
+with ``json.loads``.  ``orjson`` is imported when a stream is opened, not
+when vekg is imported.
 """
 
 from __future__ import annotations
@@ -113,12 +125,42 @@ _INF = math.inf
 _new = object.__new__    # a record without its constructor, whose checks parse_frame makes
 
 
+# orjson 3.8 builds nested values by recursion in C, and a valid line nested
+# about 50,000 deep overflows the stack (a crash where json.loads raises
+# RecursionError); a line's depth is at most its count of "[" and "{"
+_MAX_FAST_NESTING = 4096
+
+
+class _Inexact(Exception):
+    """Raised by the validating pass when it meets a value on which an
+    ``orjson`` decode could differ from ``json.loads``."""
+
+
 def parse_frame(record: str,
                 prev: Optional[Tuple[int, int]] = None) -> FrameDetections:
     """Parse one stream line into a validated FrameDetections.
 
     ``prev`` is the (frame_index, timestamp) of the previous frame, used
     to enforce strict monotonicity.
+
+    The line is decoded with ``orjson.loads`` and checked by the one
+    validating pass, ``_frame``.  Where the two decoders could differ (see
+    the module docstring), it is decoded again with ``json.loads``, and
+    that decode's record or error is the answer.
+    """
+    if (len(record) <= _MAX_FAST_NESTING
+            or record.count("[") + record.count("{") <= _MAX_FAST_NESTING):
+        import orjson
+        try:
+            return _frame(orjson.loads(record), prev, False)
+        except (orjson.JSONDecodeError, _Inexact, MalformedRecord, SchemaViolation,
+                NonMonotonicTime):
+            pass
+    return _frame(_loads(record, "not valid JSON"), prev, True)
+
+
+def _frame(raw, prev: Optional[Tuple[int, int]], exact: bool) -> FrameDetections:
+    """The validating pass over one decoded line.
 
     One pass over the decoded record: each field is read once and its
     exact type checked where it is read, together with the checks the
@@ -128,8 +170,18 @@ def parse_frame(record: str,
     and a label that is already a string are stored as they are, and the
     optional keys are looked up only in an object that has a key beyond
     the four required ones.
+
+    ``exact`` is false for an ``orjson`` decode.  Where ``orjson``
+    decodes a line at all, it differs from ``json.loads`` in two ways
+    only: it makes an integer outside [-2**63, 2**64) a float, rounded as
+    ``float()`` rounds it, and it does not bound the nesting depth, where
+    ``json.loads`` raises RecursionError.  A type check refuses that float
+    where an integer is required, and where a number is, ``float()`` of
+    the integer is the same float.  So for an ``orjson`` decode the pass
+    raises ``_Inexact`` where neither holds: at a label or ``attrs`` value
+    that is not a string (``str()`` of it is stored), and at a key or a
+    keypoint coordinate that it does not read.
     """
-    raw = _loads(record, "not valid JSON")
     if type(raw) is not dict:
         raise MalformedRecord("frame record must be a JSON object")
     try:
@@ -138,6 +190,8 @@ def parse_frame(record: str,
         raw_objects = raw["objects"]
     except KeyError as exc:
         raise SchemaViolation(f"missing required field {exc}") from None
+    if len(raw) > 3 and not exact:
+        raise _Inexact
     if type(frame_index) is not int or type(ts) is not int:
         raise SchemaViolation(
             f"frame and ts_ms must be integers, got {frame_index!r} and {ts!r}")
@@ -191,19 +245,36 @@ def parse_frame(record: str,
             keypoints = None
             attrs = {}
             if len(o) > 4:   # some key beyond track, label, conf and bbox
-                raw_keypoints = o.get("keypoints")
-                if raw_keypoints:
-                    keypoints = _parse_keypoints(raw_keypoints)
-                # checked, then ignored: no rule reads appearance features
-                features = o.get("features")
-                if features and not (type(features) is list
-                                     and all(type(v) in _NUMBER for v in features)):
-                    raise SchemaViolation("features must be a list of numbers")
+                unread = len(o) - 4
+                if "keypoints" in o:
+                    unread -= 1
+                    raw_keypoints = o["keypoints"]
+                    if raw_keypoints:
+                        keypoints = _parse_keypoints(raw_keypoints, exact)
+                if "features" in o:
+                    # checked, then ignored: no rule reads appearance features
+                    unread -= 1
+                    features = o["features"]
+                    if features and not (type(features) is list
+                                         and all(type(v) in _NUMBER for v in features)):
+                        raise SchemaViolation("features must be a list of numbers")
                 if "attrs" in o:
+                    unread -= 1
                     attrs = o["attrs"]
                     if type(attrs) is not dict:
                         raise SchemaViolation("attrs must be an object")
-                    attrs = {k: str(v) for k, v in attrs.items()}
+                    for v in attrs.values():
+                        if type(v) is not str:
+                            if not exact:
+                                raise _Inexact
+                            attrs = {k: str(v) for k, v in attrs.items()}
+                            break
+                if unread and not exact:
+                    raise _Inexact
+            if type(label) is not str:
+                if not exact:
+                    raise _Inexact
+                label = str(label)
             tracks.add(track)
             box = _new(BoundingBox)
             box.x = x
@@ -212,7 +283,7 @@ def parse_frame(record: str,
             box.h = h
             node = _new(ObjectNode)
             node.track_id = track
-            node.label = label if type(label) is str else str(label)
+            node.label = label
             node.confidence = conf
             node.bbox = box
             node.attributes = attrs
@@ -240,9 +311,11 @@ def parse_frame(record: str,
     return frame
 
 
-def _parse_keypoints(raw) -> Dict[str, Tuple[float, float]]:
+def _parse_keypoints(raw, exact: bool) -> Dict[str, Tuple[float, float]]:
     """``{name: (x, y)}`` from a non-empty keypoints object; every
-    coordinate a finite number."""
+    coordinate a finite number.  Coordinates past the second are not
+    read, so for an ``orjson`` decode (``exact`` false) they raise
+    ``_Inexact``."""
     if type(raw) is not dict:
         raise SchemaViolation("keypoints must be an object of name -> [x, y]")
     keypoints = {}
@@ -251,6 +324,8 @@ def _parse_keypoints(raw) -> Dict[str, Tuple[float, float]]:
                 and type(v[0]) in _NUMBER and type(v[1]) in _NUMBER):
             raise SchemaViolation(
                 f"keypoint {name!r} must be an [x, y] list of numbers")
+        if len(v) > 2 and not exact:
+            raise _Inexact
         x = float(v[0])
         y = float(v[1])
         if not (-_INF < x < _INF and -_INF < y < _INF):
@@ -325,6 +400,7 @@ class StreamReader:
 
     def _read(self):
         """Yield the header (None if there is none), then each frame."""
+        import orjson   # parse_frame's decoder: imported at start-up, not in the first frame
         if self.source == "-":
             source = contextlib.nullcontext(sys.stdin)   # never close stdin
         else:

@@ -643,3 +643,52 @@ class TestBench:
 
 def test_help_exits_zero():
     assert main(["--help"]) == EXIT_OK
+
+
+def _frame_line(index, ts, **fields):
+    obj = {"track": 1, "label": "car", "conf": 0.5, "bbox": [0, 0, 5, 5]}
+    obj.update(fields)
+    return json.dumps({"frame": index, "ts_ms": ts, "objects": [obj]})
+
+
+DEEP = "[" * 3000 + "]" * 3000
+TOO_DEEP = ("error: line 2: not valid JSON: maximum recursion depth exceeded"
+            " while decoding a JSON array from a unicode string\n")
+# a stream's lines after its header, with the exit code and stderr that
+# `run` and `validate` both gave for it when every line was decoded by
+# json.loads alone; orjson decodes none of these lines the same way
+DECODER_PINS = {
+    "nan_bbox": ([_frame_line(0, 0).replace("[0, 0, 5, 5]", "[NaN, 0, 5, 5]")], EXIT_INPUT,
+                 "error: line 2: bbox must be finite with positive width and height,"
+                 " got [nan, 0, 5, 5]\n"),
+    "lone_surrogate_label": ([_frame_line(0, 0, label="\ud800")], EXIT_OK, ""),
+    "digits_4301": (['{"frame": 0, "ts_ms": ' + "1" * 4301 + ', "objects": []}'], EXIT_INPUT,
+                    "error: line 2: not valid JSON: Exceeds the limit (4300 digits) for"
+                    " integer string conversion: value has 4301 digits; use"
+                    " sys.set_int_max_str_digits() to increase the limit\n"),
+    "nested_3000_line": ([DEEP], EXIT_INPUT, TOO_DEEP),
+    "nested_3000_unread_key": (['{"frame": 0, "ts_ms": 0, "objects": [], "x": ' + DEEP + "}"],
+                               EXIT_INPUT, TOO_DEEP),
+    "ts_2**64_after_0": ([_frame_line(0, 0), _frame_line(1, 2 ** 64)], EXIT_OK, ""),
+    "label_2**64": ([_frame_line(0, 0, label=2 ** 64)], EXIT_OK, ""),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("lines, code, err", DECODER_PINS.values(), ids=DECODER_PINS)
+def test_decoder_edge_cases_keep_exit_code_and_message(tmp_path, capsys, command,
+                                                       lines, code, err):
+    stream = tmp_path / "s.jsonl"
+    stream.write_text("\n".join(
+        ['{"format":"vekg-detections","version":1,"resolution":[640,480]}'] + lines) + "\n")
+    if command == "validate":
+        args = ["validate", str(stream)]
+    else:
+        rules = tmp_path / "r.yaml"
+        rules.write_text(yaml.safe_dump({"rules": [
+            {"id": "q", "kind": "attribute_query", "window_ms": 1000,
+             "params": {"attribute": "color", "value": "red"}}]}))
+        args = ["--quiet", "run", "--input", str(stream), "--rules", str(rules),
+                "--out", str(tmp_path / "o.jsonl")]
+    assert main(args) == code
+    assert capsys.readouterr().err == err

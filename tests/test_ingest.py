@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vekg import ingest, synth
 from vekg.errors import (MalformedRecord, NonMonotonicTime, SchemaViolation,
                          SourceUnavailable, VekgError)
 from vekg.geometry import BoundingBox
@@ -86,6 +91,60 @@ class TestParseFrame:
                  "keypoints": {"nose": [3.0, 4.0]}, "features": [0.1, 0.2]}]
         f = parse_frame(line(frame=4, ts=133, objects=objs))
         assert parse_frame(serialize_frame(f)) == f
+
+
+class TestDecoders:
+    """``parse_frame`` decodes with orjson, and decodes a line again with
+    ``json.loads`` (through ``ingest._loads``, the exact path) only where
+    the two decoders could differ."""
+
+    @pytest.fixture
+    def exact_lines(self, monkeypatch):
+        lines = []
+        loads = ingest._loads
+
+        def counted(text, what):
+            lines.append(text)
+            return loads(text, what)
+        monkeypatch.setattr(ingest, "_loads", counted)
+        return lines
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["clean", "noisy"])
+    def test_built_in_streams_take_the_exact_path_for_the_header_only(
+            self, tmp_path, exact_lines, noisy):
+        headers = []
+        for sc in synth.builtin_scenarios():
+            if noisy:
+                sc = sc.with_noise(2, 0.05, 7)
+            path = tmp_path / f"{sc.name}.jsonl"
+            synth.generate(sc, path, tmp_path / "truth.jsonl")
+            headers.append(path.read_text().splitlines()[0])
+            assert sum(1 for _ in open_stream(str(path))) > 0
+        assert len(headers) == 20
+        assert exact_lines == headers
+
+    def test_label_past_uint64_is_the_exact_decimal(self, tmp_path, exact_lines):
+        path = tmp_path / "s.jsonl"
+        path.write_text(HEADER + "\n" + line(objects=[
+            {"track": 1, "label": 2 ** 64, "conf": 0.5, "bbox": [0, 0, 5, 5]}]) + "\n")
+        frames = list(open_stream(str(path)))
+        assert frames[0].objects[0].label == "18446744073709551616"
+        assert len(exact_lines) == 2   # the header, then the label's line
+
+    def test_line_nested_past_the_decoders_stack_is_an_input_error(self, tmp_path):
+        """A valid line nested 60,000 objects deep, which orjson 3.8 cannot
+        decode without overflowing the C stack, is refused by json.loads as
+        too deep.  In a child process, so that a crash fails only this test."""
+        path = tmp_path / "deep.jsonl"
+        depth = 60_000
+        path.write_text(HEADER + "\n" + '{"frame": 0, "ts_ms": 0, "objects": [], "x": '
+                        + '{"a": ' * depth + "1" + "}" * depth + "}\n")
+        src = str(Path(ingest.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-m", "vekg.cli", "validate", str(path)],
+                              capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+        assert (done.returncode, done.stderr) == (
+            2, "error: line 2: not valid JSON: maximum recursion depth exceeded "
+               "while decoding a JSON object from a unicode string\n")
 
 
 class TestHeader:

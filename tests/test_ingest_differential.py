@@ -5,11 +5,14 @@ detector or a broken writer could get them wrong: swapped types, huge
 magnitudes, dropped keys, non-positive sizes, non-object objects,
 duplicate tracks and negative frame indices.  Both parsers must accept
 the same records, reject the rest with the same error type, and parse an
-accepted record to the same values.
+accepted record to the same values.  The named cases also put the values
+on which ``orjson`` and ``json.loads`` decode differently in every field,
+since ``parse_frame`` decodes with the one and the reference with the other.
 """
 
 import copy
 import json
+import struct
 from itertools import islice
 
 import pytest
@@ -38,10 +41,11 @@ SEEDS = _seed_records()
 FRAME_KEYS = ("frame", "ts_ms", "objects")
 OBJECT_KEYS = ("track", "label", "conf", "bbox", "attrs", "keypoints", "features")
 VALUES = (st.sampled_from([True, False, None, "7", "", [], {}, [1, 2], {"a": 1},
-                           0, -1, 0.5, 1, 2.0, 1.5, 10 ** 400, -10 ** 400, HUGE])
+                           0, -1, 0.5, 1, 2.0, 1.5, 10 ** 400, -10 ** 400, HUGE,
+                           2 ** 64, -2 ** 63 - 1])
           | st.integers(-3, 3) | st.floats()).map(copy.deepcopy)   # values get mutated
 NUMBERS = st.sampled_from([0, -0.0, -1, -5.5, 1e-320, 1e308, True, "3", None, HUGE,
-                           10 ** 400]) | st.floats()
+                           10 ** 400, 2 ** 64, -2 ** 63 - 1]) | st.floats()
 
 
 def _objects(record):
@@ -234,6 +238,87 @@ REGRESSIONS = {
 }
 
 
+LITERAL = "<literal>"   # a placeholder, replaced by JSON text that json.dumps cannot write
+PLACES = {
+    "frame": _record(frame=LITERAL),
+    "ts_ms": _record(ts=LITERAL),
+    "track": _record(_obj(track=LITERAL)),
+    "label": _record(_obj(label=LITERAL)),
+    "attrs_value": _record(_obj(attrs={"n": LITERAL})),
+    "attrs_nested": _record(_obj(attrs={"n": [LITERAL]})),
+    "conf": _record(_obj(conf=LITERAL)),
+    "bbox": _record(_obj(bbox=[LITERAL, 0, 5, 5])),
+    "keypoint": _record(_obj(keypoints={"nose": [1, LITERAL]})),
+    "features": _record(_obj(features=[0.5, LITERAL])),
+    "unread_key": _record(_obj(color=LITERAL)),
+}
+NOT_FINITE = {"frame", "ts_ms", "track", "conf", "bbox", "keypoint"}
+# values on which orjson and json.loads could decode differently: integers
+# that orjson makes floats or refuses, and literals that only json.loads takes;
+# each maps to its JSON text and the places where the record is rejected
+LITERALS = {
+    "2**64": (str(2 ** 64), {"conf"}),
+    "-2**63-1": (str(-2 ** 63 - 1), {"frame", "conf"}),
+    "10**30": (str(10 ** 30), {"conf"}),
+    "4301_digits": ("1" * 4301, set(PLACES)),   # past json.loads's digit limit
+    "NaN": ("NaN", NOT_FINITE),
+    "Infinity": ("Infinity", NOT_FINITE),
+    "-Infinity": ("-Infinity", NOT_FINITE),
+    "1e400": ("1e400", NOT_FINITE),
+}
+DEEP = "[" * 3000 + "]" * 3000   # deeper than json.loads goes; orjson has no bound
+
+
+def _with(record, text):
+    return record.replace(json.dumps(LITERAL), text)
+
+
+REGRESSIONS.update({
+    f"{name}_in_{place}": (_with(record, text), None,
+                           "rejected" if place in rejected else "accepted")
+    for name, (text, rejected) in LITERALS.items() for place, record in PLACES.items()})
+REGRESSIONS.update({
+    # an escaped lone surrogate: json.loads takes it, orjson refuses it
+    "lone_surrogate_label": (_record(_obj(label="\ud800")), None, "accepted"),
+    "lone_surrogate_attrs_key": (_record(_obj(attrs={"\ud800": "x"})), None, "accepted"),
+    "nested_3000_in_unread_frame_key": (_with(json.dumps(
+        {"frame": 3, "ts_ms": 100, "objects": [], "x": LITERAL}), DEEP), None, "rejected"),
+    "nested_3000_in_unread_object_key": (_with(_record(_obj(color=LITERAL)), DEEP),
+                                         None, "rejected"),
+    "nested_3000_in_extra_keypoint_coordinate": (
+        _with(_record(_obj(keypoints={"nose": [1, 2, LITERAL]})), DEEP), None, "rejected"),
+    # more "[" than ingest lets orjson decode, yet shallow
+    "many_brackets_shallow": (_record(_obj(color=[[]] * 5000)), None, "accepted"),
+})
+
+
 @pytest.mark.parametrize("text, prev, verdict", REGRESSIONS.values(), ids=REGRESSIONS)
 def test_regression_case(text, prev, verdict):
     assert assert_agree(text, prev) == verdict
+
+
+NUMBER_TEXT = (st.floats(allow_nan=False, allow_infinity=False).map(repr)
+               | st.integers().map(str)
+               | st.integers(2 ** 63 - 4, 10 ** 320).map(str)   # past int64 and past double
+               | st.from_regex(r"-?(0|[1-9][0-9]{0,40})(\.[0-9]{1,40})?([eE][-+]?[0-9]{1,3})?",
+                               fullmatch=True))
+
+
+def bits(parse, text):
+    """The bbox and keypoint values of a one-object line as the bytes of
+    their doubles, so -0.0 and 0.0 differ; or the type of the error."""
+    try:
+        o = parse(text, None).objects[0]
+    except ERRORS as exc:
+        return type(exc)
+    return struct.pack("<6d", o.bbox.x, o.bbox.y, o.bbox.w, o.bbox.h, *o.keypoints["nose"])
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(NUMBER_TEXT, min_size=6, max_size=6))
+def test_numbers_parse_bit_identically(numbers):
+    x, y, w, h, kx, ky = numbers
+    text = ('{"frame":3,"ts_ms":100,"objects":[{"track":1,"label":"person","conf":0.5,'
+            f'"bbox":[{x},{y},{w.lstrip("-")},{h.lstrip("-")}],'
+            f'"keypoints":{{"nose":[{kx},{ky}]}}}}]}}')
+    assert bits(parse_frame, text) == bits(reference_ingest.parse_frame, text)
